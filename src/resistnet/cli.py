@@ -211,13 +211,14 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _float_repr(x: float) -> float:
-    # floats go through json/repr unchanged; keep a single conversion point
-    return float(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _axis_resistances(args) -> tuple[Fraction, Fraction, Fraction]:
+    """--r/--s/--t, parsed here rather than by argparse so that a bad
+    literal is reported as a ParseError."""
+    return tuple(parse_rational_option(raw) for raw in (args.r, args.s, args.t))
 
 
 def _run_graph(args) -> tuple[dict, int]:
@@ -233,23 +234,21 @@ def _run_graph(args) -> tuple[dict, int]:
     if args.mode == "float":
         spectrum = spectral.decompose(network.assemble_laplacian(net))
         report["method"] = "spectral"
-        report["value_float"] = _float_repr(
-            spectral.two_point_resistance(spectrum, alpha, beta)
-        )
+        report["value_float"] = spectral.two_point_resistance(spectrum, alpha, beta)
     elif args.mode == "exact":
         value = exact.solve_exact(net, alpha, beta)
         report["method"] = "oracle"
         report["value_exact"] = str(value)
-        report["value_float"] = _float_repr(float(value))
+        report["value_float"] = float(value)
     else:
         spectrum = spectral.decompose(network.assemble_laplacian(net))
         value_f = spectral.two_point_resistance(spectrum, alpha, beta)
         value_x = exact.solve_exact(net, alpha, beta)
         discrepancy = abs(value_f - float(value_x))
         report["method"] = "spectral+oracle"
-        report["value_float"] = _float_repr(value_f)
+        report["value_float"] = value_f
         report["value_exact"] = str(value_x)
-        report["discrepancy"] = _float_repr(discrepancy)
+        report["discrepancy"] = discrepancy
         if discrepancy > tol * max(1.0, abs(float(value_x))):
             code = EXIT_NUMERIC
     return report, code
@@ -258,7 +257,7 @@ def _run_graph(args) -> tuple[dict, int]:
 def _run_lattice(args) -> tuple[dict, int]:
     dims = parse_dims(args.dims)
     bc = boundary_condition_for(args.bc, len(dims))
-    res = (args.r, args.s, args.t)[: len(dims)]
+    res = _axis_resistances(args)[: len(dims)]
     spec = lattice.LatticeSpec(dims=dims, resistances=res, bc=bc)
     c1 = parse_coords(args.src)
     c2 = parse_coords(args.dst)
@@ -278,22 +277,22 @@ def _run_lattice(args) -> tuple[dict, int]:
     code = EXIT_OK
     if args.mode == "float":
         report["method"] = "closed-form"
-        report["value_float"] = _float_repr(lattice.resistance(spec, c1, c2))
+        report["value_float"] = lattice.resistance(spec, c1, c2)
     elif args.mode == "exact":
         net = lattice.make_lattice(spec)
         value = exact.solve_exact(net, spec.node_index(c1), spec.node_index(c2))
         report["method"] = "oracle"
         report["value_exact"] = str(value)
-        report["value_float"] = _float_repr(float(value))
+        report["value_float"] = float(value)
     else:
         value_f = lattice.resistance(spec, c1, c2)
         net = lattice.make_lattice(spec)
         value_x = exact.solve_exact(net, spec.node_index(c1), spec.node_index(c2))
         discrepancy = abs(value_f - float(value_x))
         report["method"] = "closed-form+oracle"
-        report["value_float"] = _float_repr(value_f)
+        report["value_float"] = value_f
         report["value_exact"] = str(value_x)
-        report["discrepancy"] = _float_repr(discrepancy)
+        report["discrepancy"] = discrepancy
         if discrepancy > tol * max(1.0, abs(float(value_x))):
             code = EXIT_NUMERIC
     return report, code
@@ -317,13 +316,13 @@ def _run_identity(args) -> tuple[dict, int]:
             identities.i1_direct(query) if variant == 1 else identities.i2_direct(query)
         )
         report["offset"] = args.ell
-        report["damping"] = _float_repr(args.lam)
-        report["closed"] = _float_repr(closed)
-        report["direct"] = _float_repr(direct)
+        report["damping"] = args.lam
+        report["closed"] = closed
+        report["direct"] = direct
         difference = (
             0.0 if math.isinf(closed) and math.isinf(direct) else closed - direct
         )
-        report["difference"] = _float_repr(difference)
+        report["difference"] = difference
     else:
         fn = (
             identities.product_identity_free
@@ -331,28 +330,25 @@ def _run_identity(args) -> tuple[dict, int]:
             else identities.product_identity_periodic
         )
         lhs, rhs = fn(args.n_terms, args.lam)
-        report["damping"] = _float_repr(args.lam)
-        report["lhs"] = _float_repr(lhs)
-        report["rhs"] = _float_repr(rhs)
-        report["difference"] = _float_repr(lhs - rhs)
+        report["damping"] = args.lam
+        report["lhs"] = lhs
+        report["rhs"] = rhs
+        report["difference"] = lhs - rhs
     return report, EXIT_OK
 
 
 def _run_infinite(args) -> tuple[dict, int]:
     delta = parse_coords(args.delta)
-    if len(delta) == 2:
-        value = identities.r_infinite_2d(delta[0], delta[1], float(args.r), float(args.s))
-    elif len(delta) == 3:
-        value = identities.r_infinite_3d(
-            delta[0], delta[1], delta[2], float(args.r), float(args.s), float(args.t)
-        )
-    else:
+    if len(delta) not in (2, 3):
         raise ParseError(f"--delta needs 2 or 3 components, got {args.delta!r}")
+    res = _axis_resistances(args)[: len(delta)]
+    integral = identities.r_infinite_2d if len(delta) == 2 else identities.r_infinite_3d
+    value = integral(*delta, *(float(r) for r in res))
     report = {
         "method": "quadrature",
         "delta": list(delta),
-        "spec": {"resistances": [str(x) for x in (args.r, args.s, args.t)[: len(delta)]]},
-        "value_float": _float_repr(value),
+        "spec": {"resistances": [str(x) for x in res]},
+        "value_float": value,
     }
     return report, EXIT_OK
 
@@ -409,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("free", "periodic", "cylinder", "moebius", "klein"),
     )
     lat.add_argument("--dims", required=True, help="axis lengths, e.g. 5x4")
-    lat.add_argument("--r", type=parse_rational_option, default=Fraction(1))
-    lat.add_argument("--s", type=parse_rational_option, default=Fraction(1))
-    lat.add_argument("--t", type=parse_rational_option, default=Fraction(1))
+    lat.add_argument("--r", default="1")
+    lat.add_argument("--s", default="1")
+    lat.add_argument("--t", default="1")
     lat.add_argument("--from", dest="src", required=True, help="e.g. 0,0")
     lat.add_argument("--to", dest="dst", required=True, help="e.g. 3,3")
     lat.add_argument("--mode", choices=("float", "exact", "both"), default="float")
@@ -432,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     inf = sub.add_parser("infinite", help="infinite-lattice integral")
     inf.add_argument("--delta", required=True, help="offset, e.g. 1,0 or 1,1,0")
-    inf.add_argument("--r", type=parse_rational_option, default=Fraction(1))
-    inf.add_argument("--s", type=parse_rational_option, default=Fraction(1))
-    inf.add_argument("--t", type=parse_rational_option, default=Fraction(1))
+    inf.add_argument("--r", default="1")
+    inf.add_argument("--s", default="1")
+    inf.add_argument("--t", default="1")
     inf.add_argument("--format", choices=("json", "csv", "text"), default="json")
     inf.set_defaults(run=_run_infinite)
 

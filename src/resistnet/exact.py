@@ -16,13 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     DisconnectedNetworkError,
     SameNodeError,
     SingularSystemError,
 )
-from .network import Network, build_network, connectivity_check
+from .network import Network, _check_nodes, build_network, connectivity_check
+
+if TYPE_CHECKING:
+    from .lattice import LatticeSpec
 
 # Arbitrary-precision fraction used throughout the oracle.
 ExactRational = Fraction
@@ -30,7 +34,7 @@ ExactRational = Fraction
 
 @dataclass(frozen=True)
 class KirchhoffSystem:
-    """Grounded linear system for one resistance query, with its solution.
+    """Solution of the grounded Kirchhoff system for one resistance query.
 
     ``potentials`` covers every node, with the grounded node beta pinned to
     zero and unit current injected at alpha and drawn at beta.
@@ -38,8 +42,6 @@ class KirchhoffSystem:
 
     alpha: int
     beta: int
-    grounded: tuple[tuple[Fraction, ...], ...]
-    injection: tuple[Fraction, ...]
     potentials: tuple[Fraction, ...]
 
     @property
@@ -133,27 +135,38 @@ def _solve_scaled(
     return sol, det
 
 
-def _grounded_integer_system(
-    net: Network, ground: int
-) -> tuple[list[list[int]], int, list[int]]:
-    """Integer-scaled Laplacian with the ground row/column removed.
+def _integer_grounded_matrix(
+    net: Network, nodes: list[int]
+) -> tuple[list[list[int]], int]:
+    """scale * L restricted to ``nodes`` (rows and columns in list order).
 
-    Returns (matrix, scale, kept-node list); matrix = scale * L_reduced.
+    Every node left out acts as ground.  The scale is the LCM of the
+    denominators of the conductances touching ``nodes``, so every entry of
+    the returned matrix is an integer.
     """
-    lap = rational_laplacian(net)
-    keep = [k for k in range(net.n_nodes) if k != ground]
-    scale = 1
-    for i in keep:
-        for j in keep:
-            scale = scale * lap[i][j].denominator // math.gcd(
-                scale, lap[i][j].denominator
-            )
-    mat = [[int(lap[i][j] * scale) for j in keep] for i in keep]
-    return mat, scale, keep
+    index = {node: k for k, node in enumerate(nodes)}
+    touching = [
+        (index.get(i), index.get(j), c)
+        for (i, j), c in rational_conductances(net).items()
+        if i in index or j in index
+    ]
+    scale = math.lcm(*(c.denominator for _, _, c in touching))
+    mat = [[0] * len(nodes) for _ in nodes]
+    for a, b, c in touching:
+        weight = c.numerator * (scale // c.denominator)
+        if a is not None:
+            mat[a][a] += weight
+        if b is not None:
+            mat[b][b] += weight
+        if a is not None and b is not None:
+            mat[a][b] -= weight
+            mat[b][a] -= weight
+    return mat, scale
 
 
 def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
     """Ground beta, inject unit current at alpha, solve exactly."""
+    _check_nodes(net, alpha, beta)
     if alpha == beta:
         raise SameNodeError("resistance query needs two distinct nodes")
     n_comp, labels = connectivity_check(net)
@@ -163,21 +176,10 @@ def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
         )
     # The solve runs on the query's component; any other component keeps
     # potential 0, which satisfies its (currentless) equations.
-    lap = rational_laplacian(net)
-    keep = [k for k in range(net.n_nodes) if k != beta]
-    grounded = tuple(tuple(lap[i][j] for j in keep) for i in keep)
-    injection = tuple(
-        Fraction(1) if k == alpha else Fraction(0) for k in keep
-    )
-
-    comp = labels[alpha]
-    active = [k for k in keep if labels[k] == comp]
-    scale = 1
-    for i in active:
-        for j in active:
-            den = lap[i][j].denominator
-            scale = scale * den // math.gcd(scale, den)
-    mat = [[int(lap[i][j] * scale) for j in active] for i in active]
+    active = [
+        k for k in range(net.n_nodes) if k != beta and labels[k] == labels[alpha]
+    ]
+    mat, scale = _integer_grounded_matrix(net, active)
     rhs = [[scale if k == alpha else 0] for k in active]
     _bareiss_forward(mat, rhs)
     sol, det = _solve_scaled(mat, rhs)
@@ -185,13 +187,7 @@ def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
     potentials = [Fraction(0)] * net.n_nodes
     for row, node in zip(sol, active):
         potentials[node] = Fraction(row[0], det)
-    return KirchhoffSystem(
-        alpha=alpha,
-        beta=beta,
-        grounded=grounded,
-        injection=injection,
-        potentials=tuple(potentials),
-    )
+    return KirchhoffSystem(alpha=alpha, beta=beta, potentials=tuple(potentials))
 
 
 def solve_exact(net: Network, alpha: int, beta: int) -> Fraction:
@@ -211,8 +207,8 @@ def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
     n = net.n_nodes
     if n == 1:
         return [[Fraction(0)]]
-    mat, scale, keep = _grounded_integer_system(net, ground=0)
-    m = len(keep)
+    mat, scale = _integer_grounded_matrix(net, list(range(1, n)))
+    m = n - 1
     rhs = [[scale if r == c else 0 for c in range(m)] for r in range(m)]
     _bareiss_forward(mat, rhs)
     sol, det = _solve_scaled(mat, rhs)
@@ -285,13 +281,18 @@ FREE_5X5X4 = Fraction(327687658482872, 352468567489225)
 
 @dataclass(frozen=True)
 class OracleCase:
-    """One golden benchmark: a network, a node pair, its exact resistance."""
+    """One golden benchmark: a network, a node pair, its exact resistance.
+
+    ``spec`` is the lattice the network was generated from, if any;
+    ``description`` is the text ``resistnet reproduce`` prints for the case.
+    """
 
     name: str
     description: str
     net: Network
     pair: tuple[int, int]
     expected: Fraction
+    spec: LatticeSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -308,33 +309,27 @@ def reference_cases() -> tuple[OracleCase, ...]:
     """The golden benchmark networks with their known exact resistances."""
     from . import lattice  # deferred: lattice imports network, not exact
 
-    def grid(bc, dims, res):
-        spec = lattice.LatticeSpec(dims=dims, resistances=res, bc=bc)
-        return lattice.make_lattice(spec), spec
-
     bcs = lattice.BoundaryCondition
-    free54, free54_spec = grid(bcs.FREE_2D, (5, 4), (1, 1))
-    per54, _ = grid(bcs.PERIODIC_2D, (5, 4), (1, 1))
-    cyl54, _ = grid(bcs.CYLINDER, (5, 4), (1, 1))
-    mob54, _ = grid(bcs.MOEBIUS, (5, 4), (1, 1))
-    klein54, _ = grid(bcs.KLEIN, (5, 4), (1, 1))
-    mob22, _ = grid(bcs.MOEBIUS, (2, 2), (1, 1))
-    free44, free44_spec = grid(bcs.FREE_2D, (4, 4), (Fraction(2), Fraction(3)))
-    cube, cube_spec = grid(bcs.FREE_3D, (5, 5, 4), (1, 1, 1))
+
+    def grid_case(name, description, bc, dims, res, c1, c2, expected):
+        spec = lattice.LatticeSpec(dims=dims, resistances=res, bc=bc)
+        pair = (spec.node_index(c1), spec.node_index(c2))
+        return OracleCase(
+            name, description, lattice.make_lattice(spec), pair, expected, spec
+        )
 
     r1, r2 = Fraction(1), Fraction(2)
-    pair54 = (free54_spec.node_index((0, 0)), free54_spec.node_index((3, 3)))
     return (
         OracleCase(
             "example-01a",
-            "4-node bridge (r1=1, r2=2), diagonal pair",
+            "4-node bridge (r1=1, r2=2), pair (0, 2)",
             bridge_network(r1, r2),
             (0, 2),
             bridge_diagonal_formula(r1, r2),
         ),
         OracleCase(
             "example-01b",
-            "4-node bridge (r1=1, r2=2), adjacent pair",
+            "4-node bridge (r1=1, r2=2), pair (0, 1)",
             bridge_network(r1, r2),
             (0, 1),
             bridge_adjacent_formula(r1, r2),
@@ -346,60 +341,52 @@ def reference_cases() -> tuple[OracleCase, ...]:
             (0, 3),
             Fraction(2, 5),
         ),
-        OracleCase(
+        grid_case(
             "example-03",
             "free 5x4 grid, (0,0)-(3,3), unit resistance",
-            free54,
-            pair54,
+            bcs.FREE_2D, (5, 4), (1, 1), (0, 0), (3, 3),
             FREE_5X4,
         ),
-        OracleCase(
+        grid_case(
             "example-04",
-            "free 4x4 grid, corner pair, r=2 s=3",
-            free44,
-            (free44_spec.node_index((0, 0)), free44_spec.node_index((3, 3))),
+            "free 4x4 grid, corner pair, r=2 s=3 vs closed formula",
+            bcs.FREE_2D, (4, 4), (Fraction(2), Fraction(3)), (0, 0), (3, 3),
             square_grid_corner_formula(2, 3),
         ),
-        OracleCase(
+        grid_case(
             "example-06",
-            "periodic 5x4 grid, (0,0)-(3,3), unit resistance",
-            per54,
-            pair54,
+            "periodic 5x4, (0,0)-(3,3); offset (2,1) must agree",
+            bcs.PERIODIC_2D, (5, 4), (1, 1), (0, 0), (3, 3),
             PERIODIC_5X4,
         ),
-        OracleCase(
+        grid_case(
             "example-07",
             "cylindrical 5x4 grid, (0,0)-(3,3), unit resistance",
-            cyl54,
-            pair54,
+            bcs.CYLINDER, (5, 4), (1, 1), (0, 0), (3, 3),
             CYLINDER_5X4,
         ),
-        OracleCase(
+        grid_case(
             "example-08",
-            "2x2 twisted strip (complete graph on 4), any pair",
-            mob22,
-            (0, 3),
+            "2x2 twisted strip = complete graph, all 6 pairs",
+            bcs.MOEBIUS, (2, 2), (1, 1), (0, 0), (1, 1),
             Fraction(1, 2),
         ),
-        OracleCase(
+        grid_case(
             "example-09",
             "twisted 5x4 strip, (0,0)-(3,3), unit resistance",
-            mob54,
-            pair54,
+            bcs.MOEBIUS, (5, 4), (1, 1), (0, 0), (3, 3),
             MOEBIUS_5X4,
         ),
-        OracleCase(
+        grid_case(
             "example-10",
             "twisted-periodic 5x4 grid, (0,0)-(3,3), unit resistance",
-            klein54,
-            pair54,
+            bcs.KLEIN, (5, 4), (1, 1), (0, 0), (3, 3),
             KLEIN_5X4,
         ),
-        OracleCase(
+        grid_case(
             "example-11",
             "free 5x5x4 cube, (0,0,0)-(3,3,3), unit resistance",
-            cube,
-            (cube_spec.node_index((0, 0, 0)), cube_spec.node_index((3, 3, 3))),
+            bcs.FREE_3D, (5, 5, 4), (1, 1, 1), (0, 0, 0), (3, 3, 3),
             FREE_5X5X4,
         ),
     )

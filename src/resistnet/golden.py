@@ -8,25 +8,12 @@ failures are reported as rows so the whole table always renders.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact, identities, lattice, network, spectral
-from .exact import (
-    CYLINDER_5X4,
-    FREE_5X4,
-    FREE_5X5X4,
-    KLEIN_5X4,
-    MOEBIUS_5X4,
-    PERIODIC_5X4,
-    bridge_adjacent_formula,
-    bridge_diagonal_formula,
-    bridge_network,
-    complete_network,
-    square_grid_corner_formula,
-)
 
 DEFAULT_TOL = 1e-9
 
@@ -77,271 +64,114 @@ def _close(value: float, target: float, tol: float) -> bool:
     return abs(value - target) <= tol * max(1.0, abs(target))
 
 
-def _lattice_methods(
-    spec: lattice.LatticeSpec, c1: tuple[int, ...], c2: tuple[int, ...]
-) -> tuple[Fraction, float, float]:
-    """(oracle exact, spectral float, closed-form float) for one query."""
-    net = lattice.make_lattice(spec)
-    a, b = spec.node_index(c1), spec.node_index(c2)
-    exact_value = exact.solve_exact(net, a, b)
-    spectrum = spectral.decompose(network.assemble_laplacian(net))
-    spectral_value = spectral.two_point_resistance(spectrum, a, b)
-    closed_value = lattice.resistance(spec, c1, c2)
-    return exact_value, spectral_value, closed_value
-
-
-def _grid_row(
-    ident: str,
-    description: str,
-    bc: lattice.BoundaryCondition,
-    dims: tuple[int, ...],
-    res: tuple,
-    c1: tuple[int, ...],
-    c2: tuple[int, ...],
-    expected: Fraction,
-    tol: float,
-) -> ReproRow:
-    spec = lattice.LatticeSpec(dims=dims, resistances=res, bc=bc)
-    exact_value, spectral_value, closed_value = _lattice_methods(spec, c1, c2)
-    passed = (
-        exact_value == expected
-        and _close(spectral_value, float(expected), tol)
-        and _close(closed_value, float(expected), tol)
+def _case_row(case: exact.OracleCase, tol: float) -> ReproRow:
+    """Oracle and spectral solves of one golden case, plus the closed form
+    when the case is a lattice; every value must match the exact one."""
+    a, b = case.pair
+    spectrum = spectral.decompose(network.assemble_laplacian(case.net))
+    oracle = exact.solve_exact(case.net, a, b)
+    floats = {"spectral": spectral.two_point_resistance(spectrum, a, b)}
+    if case.spec is not None:
+        c1, c2 = case.spec.node_coords(a), case.spec.node_coords(b)
+        floats["closed-form"] = lattice.resistance(case.spec, c1, c2)
+    passed = oracle == case.expected and all(
+        _close(value, float(case.expected), tol) for value in floats.values()
     )
     return ReproRow(
-        ident=ident,
-        description=description,
-        expected=_fmt(expected),
-        computed={
-            "oracle": _fmt(exact_value),
-            "spectral": _fmt(spectral_value),
-            "closed-form": _fmt(closed_value),
-        },
+        ident=case.name,
+        description=case.description,
+        expected=_fmt(case.expected),
+        computed={"oracle": _fmt(oracle)}
+        | {key: _fmt(value) for key, value in floats.items()},
         passed=passed,
     )
 
 
-def reproduce_all(tol: float | None = None) -> tuple[ReproRow, ...]:
-    """Run every reference case; one row per case, failures as rows."""
-    tol = comparison_tolerance() if tol is None else tol
-    rows: list[ReproRow] = []
-
-    # 1 - four-node bridge, both published pairs, fixed rationals r1=1, r2=2
-    r1, r2 = Fraction(1), Fraction(2)
-    net = bridge_network(r1, r2)
-    spectrum = spectral.decompose(network.assemble_laplacian(net))
-    for suffix, pair, expected in (
-        ("a", (0, 2), bridge_diagonal_formula(r1, r2)),
-        ("b", (0, 1), bridge_adjacent_formula(r1, r2)),
-    ):
-        got = exact.solve_exact(net, *pair)
-        got_f = spectral.two_point_resistance(spectrum, *pair)
-        rows.append(
-            ReproRow(
-                ident=f"example-01{suffix}",
-                description=f"4-node bridge (r1=1, r2=2), pair {pair}",
-                expected=_fmt(expected),
-                computed={"oracle": _fmt(got), "spectral": _fmt(got_f)},
-                passed=got == expected and _close(got_f, float(expected), tol),
-            )
-        )
-
-    # 2 - complete graph: R = 2r/N between any two nodes
-    n = 5
-    net = complete_network(n, 1)
-    expected = Fraction(2, n)
-    got = exact.solve_exact(net, 0, 3)
-    spectrum = spectral.decompose(network.assemble_laplacian(net))
-    got_f = spectral.two_point_resistance(spectrum, 0, 3)
-    rows.append(
-        ReproRow(
-            ident="example-02",
-            description="complete graph on 5 nodes, unit resistance",
-            expected=_fmt(expected),
-            computed={"oracle": _fmt(got), "spectral": _fmt(got_f)},
-            passed=got == expected and _close(got_f, float(expected), tol),
-        )
+def _offset_row(case: exact.OracleCase, tol: float) -> ReproRow:
+    """Row 06: the torus maps offset (3,3) onto (2,1), so both must agree."""
+    row = _case_row(case, tol)
+    shifted = lattice.resistance(case.spec, (0, 0), (2, 1))
+    agrees = abs(shifted - float(row.computed["closed-form"])) <= 1e-12
+    return replace(
+        row,
+        computed=row.computed | {"closed-form-offset-2-1": _fmt(shifted)},
+        passed=row.passed and agrees,
     )
 
-    # 3 - free 5x4 grid, corner-ish pair
-    rows.append(
-        _grid_row(
-            "example-03",
-            "free 5x4 grid, (0,0)-(3,3), unit resistance",
-            lattice.BoundaryCondition.FREE_2D,
-            (5, 4),
-            (1, 1),
-            (0, 0),
-            (3, 3),
-            FREE_5X4,
-            tol,
-        )
+
+def _all_pairs_row(case: exact.OracleCase, tol: float) -> ReproRow:
+    """Row 08: the 2x2 twisted strip is the complete graph on 4 nodes, so
+    every pair has the case's resistance."""
+    spec, n = case.spec, case.net.n_nodes
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    table = exact.exact_resistance_matrix(case.net)
+    expected = float(case.expected)
+    closed_vals = [
+        lattice.resistance(spec, spec.node_coords(a), spec.node_coords(b))
+        for a, b in pairs
+    ]
+    ok = all(table[a][b] == case.expected for a, b in pairs) and all(
+        _close(v, expected, tol) for v in closed_vals
+    )
+    return ReproRow(
+        ident=case.name,
+        description=case.description,
+        expected=_fmt(case.expected),
+        computed={
+            "oracle-all-pairs": _fmt(case.expected if ok else table[0][1]),
+            "closed-form-max-dev": _fmt(max(abs(v - expected) for v in closed_vals)),
+        },
+        passed=ok,
     )
 
-    # 4 - free 4x4 grid, symbolic corner formula at r=2, s=3
-    r_, s_ = Fraction(2), Fraction(3)
-    rows.append(
-        _grid_row(
-            "example-04",
-            "free 4x4 grid, corner pair, r=2 s=3 vs closed formula",
-            lattice.BoundaryCondition.FREE_2D,
-            (4, 4),
-            (r_, s_),
-            (0, 0),
-            (3, 3),
-            square_grid_corner_formula(r_, s_),
-            tol,
-        )
-    )
 
-    # 5 - free-grid center pairs approach the infinite-lattice integral
+def _convergence_row() -> ReproRow:
+    """Row 05: free-grid center pairs approach the infinite-lattice integral."""
     integral = identities.r_infinite_2d(1, 1)
     conv = identities.finite_to_infinite_convergence(
         lattice.BoundaryCondition.FREE_2D, (1, 1), (17, 33, 65)
     )
     gaps = [abs(row.difference) for row in conv]
-    passed = gaps[0] > gaps[1] > gaps[2] and gaps[2] < 5e-3
-    rows.append(
-        ReproRow(
-            ident="example-05",
-            description="free-grid center pair (dx,dy)=(1,1) vs infinite integral",
-            expected=_fmt(integral),
-            computed={f"free-{row.size}": _fmt(row.finite_value) for row in conv},
-            passed=passed,
-        )
+    return ReproRow(
+        ident="example-05",
+        description="free-grid center pair (dx,dy)=(1,1) vs infinite integral",
+        expected=_fmt(integral),
+        computed={f"free-{row.size}": _fmt(row.finite_value) for row in conv},
+        passed=gaps[0] > gaps[1] > gaps[2] and gaps[2] < 5e-3,
     )
 
-    # 6 - periodic 5x4: value plus offset equivalence (3,3) ~ (2,1)
-    spec = lattice.LatticeSpec(
-        dims=(5, 4), resistances=(1, 1), bc=lattice.BoundaryCondition.PERIODIC_2D
-    )
-    exact_value, spectral_value, closed_value = _lattice_methods(spec, (0, 0), (3, 3))
-    shifted = lattice.resistance(spec, (0, 0), (2, 1))
-    passed = (
-        exact_value == PERIODIC_5X4
-        and _close(spectral_value, float(PERIODIC_5X4), tol)
-        and _close(closed_value, float(PERIODIC_5X4), tol)
-        and abs(shifted - closed_value) <= 1e-12
-    )
-    rows.append(
-        ReproRow(
-            ident="example-06",
-            description="periodic 5x4, (0,0)-(3,3); offset (2,1) must agree",
-            expected=_fmt(PERIODIC_5X4),
-            computed={
-                "oracle": _fmt(exact_value),
-                "spectral": _fmt(spectral_value),
-                "closed-form": _fmt(closed_value),
-                "closed-form-offset-2-1": _fmt(shifted),
-            },
-            passed=passed,
-        )
-    )
 
-    # 7 - cylinder 5x4 (value corrected against the generated lattice)
-    rows.append(
-        _grid_row(
-            "example-07",
-            "cylindrical 5x4 grid, (0,0)-(3,3), unit resistance",
-            lattice.BoundaryCondition.CYLINDER,
-            (5, 4),
-            (1, 1),
-            (0, 0),
-            (3, 3),
-            CYLINDER_5X4,
-            tol,
-        )
-    )
-
-    # 8 - 2x2 twisted strip is the complete graph on 4 nodes: r/2 all pairs
-    spec = lattice.LatticeSpec(
-        dims=(2, 2), resistances=(1, 1), bc=lattice.BoundaryCondition.MOEBIUS
-    )
-    net = lattice.make_lattice(spec)
-    table = exact.exact_resistance_matrix(net)
-    ok = all(
-        table[a][b] == Fraction(1, 2) for a in range(4) for b in range(4) if a != b
-    )
-    closed_vals = [
-        lattice.resistance(spec, spec.node_coords(a), spec.node_coords(b))
-        for a in range(4)
-        for b in range(a + 1, 4)
-    ]
-    ok = ok and all(_close(v, 0.5, tol) for v in closed_vals)
-    rows.append(
-        ReproRow(
-            ident="example-08",
-            description="2x2 twisted strip = complete graph, all 6 pairs",
-            expected="1/2",
-            computed={
-                "oracle-all-pairs": "1/2" if ok else _fmt(table[0][1]),
-                "closed-form-max-dev": _fmt(max(abs(v - 0.5) for v in closed_vals)),
-            },
-            passed=ok,
-        )
-    )
-
-    # 9, 10, 11 - twisted strip, twisted torus, free cube
-    rows.append(
-        _grid_row(
-            "example-09",
-            "twisted 5x4 strip, (0,0)-(3,3), unit resistance",
-            lattice.BoundaryCondition.MOEBIUS,
-            (5, 4),
-            (1, 1),
-            (0, 0),
-            (3, 3),
-            MOEBIUS_5X4,
-            tol,
-        )
-    )
-    rows.append(
-        _grid_row(
-            "example-10",
-            "twisted-periodic 5x4 grid, (0,0)-(3,3), unit resistance",
-            lattice.BoundaryCondition.KLEIN,
-            (5, 4),
-            (1, 1),
-            (0, 0),
-            (3, 3),
-            KLEIN_5X4,
-            tol,
-        )
-    )
-    rows.append(
-        _grid_row(
-            "example-11",
-            "free 5x5x4 cube, (0,0,0)-(3,3,3), unit resistance",
-            lattice.BoundaryCondition.FREE_3D,
-            (5, 5, 4),
-            (1, 1, 1),
-            (0, 0, 0),
-            (3, 3, 3),
-            FREE_5X5X4,
-            tol,
-        )
-    )
-
-    # 12 - infinite cubic lattice: nearest neighbor = 1/3; cross-check the
-    # (1,1,0) integral against torus extrapolation
+def _infinite_cubic_row() -> ReproRow:
+    """Row 12: infinite cubic lattice, nearest neighbour = 1/3; the (1,1,0)
+    integral is cross-checked against torus extrapolation."""
     nearest = identities.r_infinite_3d(1, 0, 0)
     diag = identities.r_infinite_3d(1, 1, 0)
     t16 = torus_3d_value(16, (1, 1, 0))
     t32 = torus_3d_value(32, (1, 1, 0))
     extrapolated = t32 + (t32 - t16) / 3.0
-    passed = abs(nearest - 1.0 / 3.0) <= 1e-6 and abs(diag - extrapolated) <= 1e-4
-    rows.append(
-        ReproRow(
-            ident="example-12",
-            description="infinite cubic lattice integrals vs torus extrapolation",
-            expected="1/3",
-            computed={
-                "quadrature-nearest": _fmt(nearest),
-                "quadrature-diagonal": _fmt(diag),
-                "torus-extrapolated-diagonal": _fmt(extrapolated),
-            },
-            passed=passed,
-        )
+    return ReproRow(
+        ident="example-12",
+        description="infinite cubic lattice integrals vs torus extrapolation",
+        expected="1/3",
+        computed={
+            "quadrature-nearest": _fmt(nearest),
+            "quadrature-diagonal": _fmt(diag),
+            "torus-extrapolated-diagonal": _fmt(extrapolated),
+        },
+        passed=abs(nearest - 1.0 / 3.0) <= 1e-6 and abs(diag - extrapolated) <= 1e-4,
     )
 
-    return tuple(rows)
+
+# Golden cases whose row checks more than the shared oracle/spectral/closed-form one.
+_SPECIAL_ROWS = {"example-06": _offset_row, "example-08": _all_pairs_row}
+
+
+def reproduce_all(tol: float | None = None) -> tuple[ReproRow, ...]:
+    """Run every reference case; one row per case, failures as rows."""
+    tol = comparison_tolerance() if tol is None else tol
+    rows = [
+        _SPECIAL_ROWS.get(case.name, _case_row)(case, tol)
+        for case in exact.reference_cases()
+    ]
+    rows += [_convergence_row(), _infinite_cubic_row()]
+    return tuple(sorted(rows, key=lambda row: row.ident))

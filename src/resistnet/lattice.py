@@ -21,11 +21,10 @@ from typing import Sequence
 
 from .errors import (
     NodeIndexError,
-    NonPositiveResistanceError,
     OutOfRangeError,
     ParseError,
 )
-from .network import Network, Resistance, build_network
+from .network import Network, Resistance, _check_resistance, build_network
 
 
 class BoundaryCondition(Enum):
@@ -73,10 +72,7 @@ class LatticeSpec:
         if any(d < 1 for d in self.dims):
             raise ParseError(f"axis lengths must be >= 1, got {self.dims!r}")
         for r in self.resistances:
-            if r <= 0:
-                raise NonPositiveResistanceError(
-                    f"axis resistance must be > 0, got {r!r}"
-                )
+            _check_resistance(r)
 
     @property
     def n_nodes(self) -> int:

@@ -45,10 +45,15 @@ class Network:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Dense symmetric Kirchhoff matrix with exactly-zero row sums."""
+    """Dense symmetric Kirchhoff matrix with exactly-zero row sums.
+
+    ``components`` is the number of connected components of the network
+    the matrix was assembled from.
+    """
 
     n: int
     matrix: np.ndarray
+    components: int
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,12 @@ def _check_resistance(value: Resistance) -> None:
         raise NonPositiveResistanceError(f"resistance must be finite, got {value!r}")
     if value <= 0:
         raise NonPositiveResistanceError(f"resistance must be > 0, got {value!r}")
+
+
+def _check_nodes(net: Network, *nodes: int) -> None:
+    for node in nodes:
+        if not 0 <= node < net.n_nodes:
+            raise NodeIndexError(f"node {node} outside 0..{net.n_nodes - 1}")
 
 
 def build_network(n_nodes: int, edges: Iterable[Sequence]) -> Network:
@@ -117,7 +128,7 @@ def assemble_laplacian(net: Network) -> Laplacian:
     for i in range(n):
         mat[i, i] = math.fsum(rows[i])
     mat.setflags(write=False)
-    return Laplacian(n=n, matrix=mat)
+    return Laplacian(n=n, matrix=mat, components=connectivity_check(net)[0])
 
 
 def connectivity_check(net: Network) -> tuple[int, tuple[int, ...]]:
@@ -158,8 +169,7 @@ def random_walk_view(net: Network) -> RandomWalkView:
 
 def node_conductance(net: Network, node: int) -> float:
     """Total conductance c_i attached to a node."""
-    if not 0 <= node < net.n_nodes:
-        raise NodeIndexError(f"node {node} outside 0..{net.n_nodes - 1}")
+    _check_nodes(net, node)
     return math.fsum(
         1.0 / float(r) for i, j, r in net.edges if node in (i, j)
     )
@@ -173,6 +183,7 @@ def first_passage_probability(
     Equals 1 / (c_alpha * R_alpha_beta); for unit resistances the node
     conductance is the coordination number.
     """
+    _check_nodes(net, alpha, beta)
     if alpha == beta:
         raise SameNodeError("first-passage probability needs two distinct nodes")
     n_comp, labels = connectivity_check(net)

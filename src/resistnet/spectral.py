@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,26 +39,6 @@ class Spectrum:
         return len(self.zero_modes) == 1
 
 
-def _component_count(matrix: np.ndarray) -> int:
-    """Connected components of the graph underlying a Laplacian."""
-    n = matrix.shape[0]
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for other in np.nonzero(matrix[node])[0]:
-                if other != node and not seen[other]:
-                    seen[other] = True
-                    queue.append(int(other))
-    return count
-
-
 def decompose(lap: Laplacian) -> Spectrum:
     """Dense symmetric eigendecomposition with zero-mode accounting.
 
@@ -71,10 +50,9 @@ def decompose(lap: Laplacian) -> Spectrum:
     top = float(w[-1])
     threshold = ZERO_MODE_RTOL * top if top > 0 else ZERO_MODE_RTOL
     zero_modes = tuple(int(k) for k in np.nonzero(w < threshold)[0])
-    components = _component_count(lap.matrix)
-    if len(zero_modes) != components:
+    if len(zero_modes) != lap.components:
         raise MultipleZeroModesError(
-            f"{len(zero_modes)} near-zero eigenvalues but {components} "
+            f"{len(zero_modes)} near-zero eigenvalues but {lap.components} "
             f"connected component(s)"
         )
     w.setflags(write=False)

@@ -152,6 +152,22 @@ def test_exit_code_parse_error(capsys):
     )
     assert code == 2
     assert report["error"]["type"] == "ParseError"
+    # resistance literals of lattice/infinite, reported in the requested format
+    for literal in ("abc", "nan", "1/0", "2..5"):
+        for argv in (
+            ["lattice", "--bc", "free", "--dims", "3x3", "--from", "0,0",
+             "--to", "1,1", "--r", literal],
+            ["infinite", "--delta", "1,1", "--s", literal],
+        ):
+            code, report = run_json(capsys, argv)
+            assert code == 2
+            assert report["error"]["type"] == "ParseError"
+            code, out = run_cli(capsys, argv + ["--format", "text"])
+            assert code == 2
+            assert "error.type: ParseError\n" in out
+            code, out = run_cli(capsys, argv + ["--format", "csv"])
+            assert code == 2
+            assert out.startswith("error.exit_code,error.message,error.type\n")
 
 
 def test_exit_code_disconnected(capsys):
@@ -177,6 +193,17 @@ def test_exit_code_range_error(capsys):
          "--to", "9,0"],
     )
     assert code == 4
+    # exact and both modes range-check the pair before solving
+    three = '{"nodes": 3, "edges": [[0,1,1],[1,2,1]]}'
+    for dst in ("5", "-1"):
+        for mode in ("float", "exact", "both"):
+            code, report = run_json(
+                capsys,
+                ["graph", "--inline", three, "--from", "0", "--to", dst,
+                 "--mode", mode],
+            )
+            assert code == 4
+            assert report["error"]["type"] == "NodeIndexError"
 
 
 def test_tolerance_env_var_gates_both_mode(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from helpers import random_connected_network
 from resistnet import (
     DisconnectedNetworkError,
+    NodeIndexError,
     SameNodeError,
     build_network,
     exact_resistance_matrix,
@@ -158,6 +159,9 @@ def test_query_errors():
     net = build_network(4, [(0, 1, 1), (2, 3, 1)])
     with pytest.raises(SameNodeError):
         solve_exact(net, 2, 2)
+    for pair in ((0, 4), (4, 0), (0, -1), (-1, 1)):
+        with pytest.raises(NodeIndexError):
+            solve_exact(net, *pair)
     with pytest.raises(DisconnectedNetworkError):
         solve_exact(net, 0, 3)
     with pytest.raises(DisconnectedNetworkError):

@@ -9,6 +9,7 @@ import pytest
 
 from resistnet import (
     NodeIndexError,
+    NonPositiveResistanceError,
     ParseError,
     assemble_laplacian,
     decompose,
@@ -61,6 +62,9 @@ def test_spec_validation():
         LatticeSpec(dims=(5, 4, 3), resistances=(1, 1), bc=BC.FREE_3D)
     with pytest.raises(ParseError):
         LatticeSpec(dims=(0, 4), resistances=(1, 1), bc=BC.FREE_2D)
+    for bad in (0, -1, Fraction(-1, 2), math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveResistanceError):
+            LatticeSpec(dims=(5, 4), resistances=(1, bad), bc=BC.FREE_2D)
 
 
 def test_node_indexing_round_trip():

@@ -112,6 +112,8 @@ def test_connectivity_labels():
     assert count == 2
     assert labels[0] == labels[1] != labels[2] == labels[3]
     assert connectivity_check(build_network(1, []))[0] == 1
+    # the assembled Laplacian carries the same count for decompose to check
+    assert assemble_laplacian(build_network(4, [(0, 1, 1), (2, 3, 1)])).components == 2
 
 
 def test_random_walk_rows_sum_to_one():
@@ -155,6 +157,9 @@ def test_first_passage_errors():
         first_passage_probability(net, 0, 2, 1.0)
     with pytest.raises(NonPositiveResistanceError):
         first_passage_probability(net, 0, 1, 0.0)
+    for pair in ((0, -1), (-1, 1), (0, 4), (4, 0)):
+        with pytest.raises(NodeIndexError):
+            first_passage_probability(net, *pair, 1.0)
 
 
 def test_fraction_resistances_survive():
