@@ -1,8 +1,9 @@
 """Exact two-point resistance by rational solution of the Kirchhoff equations.
 
-The grounded Laplacian is scaled to an integer matrix and reduced with
-fraction-free (Bareiss) elimination, so every intermediate is an exact
-determinant ratio; the single final division yields the resistance in
+The grounded Laplacian is scaled to a sparse integer matrix and reduced by
+fraction-free (Bareiss) elimination in minimum-degree order: each step
+touches only the entries its pivot changes, every intermediate is an exact
+integer minor, and the single final division yields the resistance in
 lowest terms.  Float resistances are rationalized exactly from their
 binary representation.
 
@@ -13,6 +14,7 @@ in one call.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,91 +79,96 @@ def rational_laplacian(net: Network) -> list[list[Fraction]]:
     return lap
 
 
-def _bareiss_forward(
-    mat: list[list[int]], rhs: list[list[int]]
-) -> None:
-    """In-place fraction-free elimination of [mat | rhs] to upper triangular.
-
-    Every division is exact by the Sylvester identity.  Raises
-    SingularSystemError if no nonzero pivot can be found.
-    """
-    n = len(mat)
-    prev = 1
-    for k in range(n):
-        if mat[k][k] == 0:
-            for r in range(k + 1, n):
-                if mat[r][k] != 0:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    rhs[k], rhs[r] = rhs[r], rhs[k]
-                    break
-            else:
-                raise SingularSystemError(f"zero pivot column {k}")
-        pivot = mat[k][k]
-        row_k = mat[k]
-        rhs_k = rhs[k]
-        for i in range(k + 1, n):
-            factor = mat[i][k]
-            row_i = mat[i]
-            rhs_i = rhs[i]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            for j in range(len(rhs_i)):
-                rhs_i[j] = (pivot * rhs_i[j] - factor * rhs_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-
-
-def _solve_scaled(
-    mat: list[list[int]], rhs: list[list[int]]
-) -> tuple[list[list[int]], int]:
-    """Solve the Bareiss-reduced system; solution columns are y / det.
-
-    Back-substitution stays in integers: each row division is exact because
-    det * x is the adjugate action on the right-hand side.
-    """
-    n = len(mat)
-    width = len(rhs[0]) if rhs else 0
-    det = mat[n - 1][n - 1]
-    if det == 0:
-        raise SingularSystemError("vanishing determinant")
-    sol = [[0] * width for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        row = mat[k]
-        for c in range(width):
-            acc = det * rhs[k][c]
-            for j in range(k + 1, n):
-                acc -= row[j] * sol[j][c]
-            sol[k][c] = acc // row[k]
-    return sol, det
-
-
-def _integer_grounded_matrix(
+def _integer_grounded_rows(
     net: Network, nodes: list[int]
-) -> tuple[list[list[int]], int]:
-    """scale * L restricted to ``nodes`` (rows and columns in list order).
+) -> tuple[dict[int, dict[int, int]], int]:
+    """scale * L restricted to ``nodes``, one ``{column: entry}`` row per node.
 
     Every node left out acts as ground.  The scale is the LCM of the
-    denominators of the conductances touching ``nodes``, so every entry of
-    the returned matrix is an integer.
+    denominators of the conductances touching ``nodes``, so every entry is
+    an integer.
     """
-    index = {node: k for k, node in enumerate(nodes)}
+    rows: dict[int, dict[int, int]] = {node: {} for node in nodes}
     touching = [
-        (index.get(i), index.get(j), c)
+        (i, j, c)
         for (i, j), c in rational_conductances(net).items()
-        if i in index or j in index
+        if i in rows or j in rows
     ]
     scale = math.lcm(*(c.denominator for _, _, c in touching))
-    mat = [[0] * len(nodes) for _ in nodes]
-    for a, b, c in touching:
+    for i, j, c in touching:
         weight = c.numerator * (scale // c.denominator)
-        if a is not None:
-            mat[a][a] += weight
-        if b is not None:
-            mat[b][b] += weight
-        if a is not None and b is not None:
-            mat[a][b] -= weight
-            mat[b][a] -= weight
-    return mat, scale
+        for a, b in ((i, j), (j, i)):
+            row = rows.get(a)
+            if row is not None:
+                row[a] = row.get(a, 0) + weight
+                if b in rows:
+                    row[b] = -weight
+    return rows, scale
+
+
+_ZERO = (0, 0)  # an entry not stored: the value 0, current at every step
+
+
+def _fraction_free_solve(
+    rows: dict[int, dict[int, int]], rhs: dict[int, dict[int, int]]
+) -> tuple[dict[int, dict[int, int]], int]:
+    """Solve the symmetric system ``rows`` y = det * ``rhs`` in integers.
+
+    Sparse Bareiss elimination: after step t every stored entry is the
+    integer minor a^(t) on the first t pivots, and the pivot is a leading
+    principal minor, positive for a grounded Laplacian.  The pivot is the
+    alive row with the fewest entries (ties to the lowest node), and step t
+    updates only the pivot's neighbours at its columns,
+    a^(t) = (p a^(t-1) - f g) / d_(t-1).  An entry the pivot does not touch
+    only gains the factor d_t / d_(t-1), so each entry keeps the step s at
+    which it was last set and is brought up to date on reading as
+    a d_t // d_s, an exact division because both sides are minors.
+    Back-substitution runs over the stored pivot rows; det is the last
+    pivot, and y[node][column] is det times the rational solution.
+    """
+    columns = {c for entries in rhs.values() for c in entries}
+    mat = {i: {j: (a, 0) for j, a in row.items()} for i, row in rows.items()}
+    vec = {i: {c: (b, 0) for c, b in rhs.get(i, {}).items()} for i in rows}
+    pivots = [1]  # pivots[t] = d_t, the pivot of step t; d_0 = 1
+    done = []
+    heap = [(len(row), node) for node, row in mat.items()]
+    heapq.heapify(heap)
+    while heap:
+        size, k = heapq.heappop(heap)
+        if k not in mat or len(mat[k]) != size:
+            continue  # stale heap entry
+        prev, step = pivots[-1], len(pivots)
+
+        def lift(entry):  # the entry's value after step - 1
+            a, s = entry
+            return a if s == step - 1 else a * prev // pivots[s]
+
+        row = {j: lift(e) for j, e in mat.pop(k).items()}
+        bk = {c: lift(e) for c, e in vec.pop(k).items()}
+        p = row.pop(k)
+        if p == 0:
+            raise SingularSystemError(f"zero pivot at node {k}")
+        nbrs = list(row.items())
+        for n, (i, f) in enumerate(nbrs):
+            row_i, vec_i = mat[i], vec[i]
+            del row_i[k]
+            for j, g in nbrs[n:]:
+                entry = ((p * lift(row_i.get(j, _ZERO)) - f * g) // prev, step)
+                row_i[j] = mat[j][i] = entry
+            for c, g in bk.items():
+                vec_i[c] = ((p * lift(vec_i.get(c, _ZERO)) - f * g) // prev, step)
+            heapq.heappush(heap, (len(row_i), i))
+        pivots.append(p)
+        done.append((k, p, row, bk))
+
+    det = pivots[-1]
+    sol: dict[int, dict[int, int]] = {}
+    for k, p, row, bk in reversed(done):
+        sol[k] = {
+            c: (det * bk.get(c, 0) - sum(u * sol[j][c] for j, u in row.items())) // p
+            for c in columns
+        }
+    return sol, det
 
 
 def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
@@ -179,14 +186,12 @@ def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
     active = [
         k for k in range(net.n_nodes) if k != beta and labels[k] == labels[alpha]
     ]
-    mat, scale = _integer_grounded_matrix(net, active)
-    rhs = [[scale if k == alpha else 0] for k in active]
-    _bareiss_forward(mat, rhs)
-    sol, det = _solve_scaled(mat, rhs)
+    rows, scale = _integer_grounded_rows(net, active)
+    sol, det = _fraction_free_solve(rows, {alpha: {alpha: scale}})
 
     potentials = [Fraction(0)] * net.n_nodes
-    for row, node in zip(sol, active):
-        potentials[node] = Fraction(row[0], det)
+    for node in active:
+        potentials[node] = Fraction(sol[node][alpha], det)
     return KirchhoffSystem(alpha=alpha, beta=beta, potentials=tuple(potentials))
 
 
@@ -207,16 +212,11 @@ def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
     n = net.n_nodes
     if n == 1:
         return [[Fraction(0)]]
-    mat, scale = _integer_grounded_matrix(net, list(range(1, n)))
-    m = n - 1
-    rhs = [[scale if r == c else 0 for c in range(m)] for r in range(m)]
-    _bareiss_forward(mat, rhs)
-    sol, det = _solve_scaled(mat, rhs)
+    rows, scale = _integer_grounded_rows(net, list(range(1, n)))
+    sol, det = _fraction_free_solve(rows, {k: {k: scale} for k in rows})
 
     def green(a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return sol[a - 1][b - 1]
+        return sol[a][b] if a and b else 0
 
     table = [[Fraction(0)] * n for _ in range(n)]
     for a in range(n):

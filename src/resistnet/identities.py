@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.integrate import dblquad, quad
-
 from . import lattice
 from .errors import OutOfRangeError, ParseError, QuadratureFailureError
+from .network import _check_resistance
 
 QUAD_ABS_TOL_2D = 1e-8
 QUAD_ABS_TOL_3D = 1e-6
@@ -151,9 +150,12 @@ def product_identity_periodic(n_terms: int, lam: float) -> tuple[float, float]:
 
 def r_infinite_2d(dx: int, dy: int, r: float = 1.0, s: float = 1.0) -> float:
     """Resistance between grid points of the infinite square lattice."""
+    from scipy.integrate import quad  # deferred: costs most of the package import
+
     dx, dy = abs(int(dx)), abs(int(dy))
-    r = float(r)
-    s = float(s)
+    r, s = float(r), float(s)
+    for value in (r, s):
+        _check_resistance(value)
     if dx == 0 and dy == 0:
         return 0.0
     rho = math.sqrt(r / s)
@@ -175,8 +177,12 @@ def r_infinite_3d(
     dx: int, dy: int, dz: int, r: float = 1.0, s: float = 1.0, t: float = 1.0
 ) -> float:
     """Resistance between grid points of the infinite cubic lattice."""
+    from scipy.integrate import dblquad  # deferred, as in r_infinite_2d
+
     dx, dy, dz = abs(int(dx)), abs(int(dy)), abs(int(dz))
     r, s, t = float(r), float(s), float(t)
+    for value in (r, s, t):
+        _check_resistance(value)
     if dx == 0 and dy == 0 and dz == 0:
         return 0.0
 

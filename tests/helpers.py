@@ -16,9 +16,10 @@ def random_connected_network(
     rational: bool = False,
     unit: bool = False,
     extra_edges: int | None = None,
+    min_nodes: int = 2,
 ) -> Network:
     """Random connected multigraph: spanning tree plus extra edges."""
-    n = rng.randint(2, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
 
     def resistance():
         if unit:

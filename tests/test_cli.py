@@ -204,6 +204,16 @@ def test_exit_code_range_error(capsys):
             )
             assert code == 4
             assert report["error"]["type"] == "NodeIndexError"
+    # infinite-lattice resistances must be positive
+    for args in (
+        ["--delta", "1,1", "--r", "0"],
+        ["--delta", "1,1", "--r", "-1"],
+        ["--delta", "1,1", "--s", "0"],
+        ["--delta", "1,1,1", "--t", "0"],
+    ):
+        code, report = run_json(capsys, ["infinite", *args])
+        assert code == 4
+        assert report["error"]["type"] == "NonPositiveResistanceError"
 
 
 def test_tolerance_env_var_gates_both_mode(capsys, monkeypatch):

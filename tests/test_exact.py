@@ -103,21 +103,68 @@ def test_ground_choice_irrelevant():
         assert solve_exact(net, a, b) == solve_exact(net, b, a)
 
 
+def assert_resubstitutes(net, system):
+    """L x must equal e_alpha - e_beta exactly, with x_beta = 0."""
+    a, b = system.alpha, system.beta
+    lap = rational_laplacian(net)
+    current = [
+        sum(lap[i][j] * system.potentials[j] for j in range(net.n_nodes))
+        for i in range(net.n_nodes)
+    ]
+    want = [Fraction(0)] * net.n_nodes
+    want[a], want[b] = Fraction(1), Fraction(-1)
+    assert current == want
+    assert system.potentials[b] == 0
+
+
 def test_resubstitution_is_exact():
     rng = random.Random(109)
     for _ in range(10):
         net = random_connected_network(rng, max_nodes=9, rational=True)
-        a, b = 0, net.n_nodes - 1
+        assert_resubstitutes(net, solve_kirchhoff(net, 0, net.n_nodes - 1))
+
+
+def test_resubstitution_at_medium_size():
+    # 30-60 queried nodes with parallel edges, beside a component not queried
+    rng = random.Random(127)
+
+    def resistance():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    for _ in range(3):
+        core = random_connected_network(rng, max_nodes=60, min_nodes=30, rational=True)
+        other = random_connected_network(rng, max_nodes=8, rational=True)
+        n = core.n_nodes
+        edges = list(core.edges)
+        edges += [(i, j, resistance()) for i, j, _ in rng.sample(core.edges, 6)]
+        edges += [(n + i, n + j, r) for i, j, r in other.edges]
+        net = build_network(n + other.n_nodes, edges)
+        a, b = rng.sample(range(n), 2)
         system = solve_kirchhoff(net, a, b)
-        lap = rational_laplacian(net)
-        current = [
-            sum(lap[i][j] * system.potentials[j] for j in range(net.n_nodes))
-            for i in range(net.n_nodes)
-        ]
-        want = [Fraction(0)] * net.n_nodes
-        want[a], want[b] = Fraction(1), Fraction(-1)
-        assert current == want
-        assert system.potentials[b] == 0
+        assert_resubstitutes(net, system)
+        assert all(v == 0 for v in system.potentials[n:])
+
+
+def test_star_with_hub_eliminated_last():
+    # minimum degree takes every leaf first and the hub alpha last
+    rng = random.Random(131)
+    legs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(12)]
+    net = build_network(13, [(0, k + 1, r) for k, r in enumerate(legs)])
+    for leaf in (1, 7, 12):
+        system = solve_kirchhoff(net, 0, leaf)
+        assert system.resistance == legs[leaf - 1]
+        assert_resubstitutes(net, system)
+    assert solve_exact(net, 3, 9) == legs[2] + legs[8]
+
+
+def test_foster_theorem_on_exact_table():
+    # sum over edges of c_e R_e = n - 1, exactly
+    rng = random.Random(137)
+    for _ in range(4):
+        net = random_connected_network(rng, max_nodes=30, min_nodes=12, rational=True)
+        table = exact_resistance_matrix(net)
+        foster = sum(table[i][j] / Fraction(r) for i, j, r in net.edges)
+        assert foster == net.n_nodes - 1
 
 
 def test_rational_laplacian_rows_sum_to_zero_exactly():

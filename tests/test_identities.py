@@ -1,12 +1,17 @@
 """Lattice-sum identities, product identities, and infinite-grid integrals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from resistnet import (
     BoundaryCondition,
     IdentityQuery,
+    NonPositiveResistanceError,
     OutOfRangeError,
     f_sum,
     finite_to_infinite_convergence,
@@ -144,6 +149,35 @@ def test_infinite_2d_symmetries():
 def test_infinite_3d_values():
     assert r_infinite_3d(0, 0, 0) == 0.0
     assert r_infinite_3d(1, 0, 0) == pytest.approx(1 / 3, abs=1e-6)
+
+
+def test_infinite_resistances_validated():
+    cases = [
+        (r_infinite_2d, (1, 1), {"r": 0}),
+        (r_infinite_2d, (1, 1), {"r": -1}),
+        (r_infinite_2d, (1, 1), {"s": 0}),
+        (r_infinite_2d, (0, 0), {"r": math.nan}),
+        (r_infinite_3d, (1, 1, 1), {"t": 0}),
+        (r_infinite_3d, (1, 0, 0), {"s": -2.5}),
+        (r_infinite_3d, (1, 0, 0), {"r": math.inf}),
+    ]
+    for integral, delta, res in cases:
+        with pytest.raises(NonPositiveResistanceError):
+            integral(*delta, **res)
+
+
+def test_package_import_leaves_quadrature_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; import resistnet; "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_infinite_3d_against_torus_extrapolation():
