@@ -24,6 +24,7 @@ from . import exact, golden, identities, lattice, network, spectral
 from .errors import (
     EXIT_NUMERIC,
     EXIT_OK,
+    OutOfRangeError,
     ParseError,
     ResistnetError,
 )
@@ -118,7 +119,7 @@ def load_network(path: str | None, inline: str | None, exact_mode: bool) -> netw
     if inline is not None:
         try:
             obj = json.loads(inline)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or an int past the digit limit
             raise ParseError(f"bad inline JSON: {err}") from err
         return parse_network_json(obj, exact_mode)
     text = Path(path).read_text()
@@ -126,7 +127,7 @@ def load_network(path: str | None, inline: str | None, exact_mode: bool) -> netw
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:
             raise ParseError(f"{path}: bad JSON: {err}") from err
         return parse_network_json(obj, exact_mode)
     return parse_network_text(text, exact_mode)
@@ -181,6 +182,15 @@ def boundary_condition_for(word: str, ndim: int) -> lattice.BoundaryCondition:
 
 # ---------------------------------------------------------------------------
 # report rendering
+
+
+def _exact_text(value: Fraction) -> str:
+    """``value`` as 'p/q' text; OutOfRangeError past the interpreter's limit
+    on the digits of an int turned into text."""
+    try:
+        return str(value)
+    except ValueError as err:
+        raise OutOfRangeError(f"exact value too long to print: {err}") from err
 
 
 def _flatten(report: dict, prefix: str = "") -> dict[str, str]:
@@ -238,18 +248,19 @@ def _run_graph(args) -> tuple[dict, int]:
     elif args.mode == "exact":
         value = exact.solve_exact(net, alpha, beta)
         report["method"] = "oracle"
-        report["value_exact"] = str(value)
-        report["value_float"] = float(value)
+        report["value_exact"] = _exact_text(value)
+        report["value_float"] = network._to_float(value)
     else:
         spectrum = spectral.decompose(network.assemble_laplacian(net))
         value_f = spectral.two_point_resistance(spectrum, alpha, beta)
         value_x = exact.solve_exact(net, alpha, beta)
-        discrepancy = abs(value_f - float(value_x))
+        exact_f = network._to_float(value_x)
+        discrepancy = abs(value_f - exact_f)
         report["method"] = "spectral+oracle"
         report["value_float"] = value_f
-        report["value_exact"] = str(value_x)
+        report["value_exact"] = _exact_text(value_x)
         report["discrepancy"] = discrepancy
-        if discrepancy > tol * max(1.0, abs(float(value_x))):
+        if discrepancy > tol * max(1.0, abs(exact_f)):
             code = EXIT_NUMERIC
     return report, code
 
@@ -282,18 +293,19 @@ def _run_lattice(args) -> tuple[dict, int]:
         net = lattice.make_lattice(spec)
         value = exact.solve_exact(net, spec.node_index(c1), spec.node_index(c2))
         report["method"] = "oracle"
-        report["value_exact"] = str(value)
-        report["value_float"] = float(value)
+        report["value_exact"] = _exact_text(value)
+        report["value_float"] = network._to_float(value)
     else:
         value_f = lattice.resistance(spec, c1, c2)
         net = lattice.make_lattice(spec)
         value_x = exact.solve_exact(net, spec.node_index(c1), spec.node_index(c2))
-        discrepancy = abs(value_f - float(value_x))
+        exact_f = network._to_float(value_x)
+        discrepancy = abs(value_f - exact_f)
         report["method"] = "closed-form+oracle"
         report["value_float"] = value_f
-        report["value_exact"] = str(value_x)
+        report["value_exact"] = _exact_text(value_x)
         report["discrepancy"] = discrepancy
-        if discrepancy > tol * max(1.0, abs(float(value_x))):
+        if discrepancy > tol * max(1.0, abs(exact_f)):
             code = EXIT_NUMERIC
     return report, code
 
@@ -343,7 +355,7 @@ def _run_infinite(args) -> tuple[dict, int]:
         raise ParseError(f"--delta needs 2 or 3 components, got {args.delta!r}")
     res = _axis_resistances(args)[: len(delta)]
     integral = identities.r_infinite_2d if len(delta) == 2 else identities.r_infinite_3d
-    value = integral(*delta, *(float(r) for r in res))
+    value = integral(*delta, *res)
     report = {
         "method": "quadrature",
         "delta": list(delta),

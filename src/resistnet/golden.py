@@ -11,8 +11,6 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact, identities, lattice, network, spectral
 
 DEFAULT_TOL = 1e-9
@@ -34,6 +32,8 @@ class ReproRow:
 
 def torus_3d_value(size: int, delta: tuple[int, int, int]) -> float:
     """Mode sum for the size^3 torus with unit resistances."""
+    import numpy as np  # deferred: only row 12 needs arrays
+
     k = 2.0 * np.pi * np.arange(size) / size
     one_minus_cos = 1.0 - np.cos(k)
     den = (

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import lattice
 from .errors import OutOfRangeError, ParseError, QuadratureFailureError
-from .network import _check_resistance
+from .network import _check_resistance, _to_float
 
 QUAD_ABS_TOL_2D = 1e-8
 QUAD_ABS_TOL_3D = 1e-6
@@ -40,8 +40,8 @@ class IdentityQuery:
             raise OutOfRangeError(f"variant must be 1 or 2, got {self.variant}")
         if self.n_terms < 1:
             raise OutOfRangeError(f"need N >= 1, got {self.n_terms}")
-        if self.damping < 0:
-            raise OutOfRangeError(f"damping must be >= 0, got {self.damping}")
+        if not 0 <= self.damping < math.inf:
+            raise OutOfRangeError(f"damping must be finite and >= 0, got {self.damping}")
         limit = 2 * self.n_terms if self.variant == 1 else self.n_terms
         if not 0 <= self.offset < limit:
             raise OutOfRangeError(
@@ -54,15 +54,40 @@ class IdentityQuery:
         return math.exp(-self.damping)
 
 
+def _in_float_range(
+    compute: Callable[[], float | tuple[float, float]], n_terms: int, damping: float
+) -> float | tuple[float, float]:
+    """``compute()``, with OutOfRangeError where a value leaves the float range.
+
+    A large damping overflows cosh, sinh and the products, and a tiny one
+    sends the sums past the largest float; such a value is reported rather
+    than returned as inf or NaN, or raised as OverflowError or
+    ZeroDivisionError.
+    """
+    try:
+        result = compute()
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    if not all(map(math.isfinite, result if isinstance(result, tuple) else (result,))):
+        raise OutOfRangeError(
+            f"damping {damping} at N={n_terms} puts the identity outside the float range"
+        )
+    return result
+
+
 def _direct_sum(q: IdentityQuery) -> float:
     if q.damping == 0.0:
         return math.inf
     n, lam, a = q.n_terms, q.damping, q.variant
-    ch = math.cosh(lam)
-    return math.fsum(
-        math.cos(a * q.offset * k * math.pi / n) / (ch - math.cos(a * k * math.pi / n))
-        for k in range(n)
-    ) / n
+
+    def total() -> float:
+        ch = math.cosh(lam)
+        return math.fsum(
+            math.cos(a * q.offset * k * math.pi / n) / (ch - math.cos(a * k * math.pi / n))
+            for k in range(n)
+        ) / n
+
+    return _in_float_range(total, n, lam)
 
 
 def i1_direct(q: IdentityQuery) -> float:
@@ -92,13 +117,17 @@ def i1_closed(q: IdentityQuery) -> float:
         return math.inf
     n, ell, lam = q.n_terms, q.offset, q.damping
     k = abs(n - ell)
-    main = (
-        math.exp((k - n) * lam)
-        * (1 + math.exp(-2 * k * lam))
-        / ((1 - math.exp(-2 * n * lam)) * math.sinh(lam))
-    )
-    parity = (1 - (-1) ** ell) / (4 * math.cosh(lam / 2) ** 2)
-    return main + (1 / math.sinh(lam) ** 2 + parity) / n
+
+    def value() -> float:
+        main = (
+            math.exp((k - n) * lam)
+            * (1 + math.exp(-2 * k * lam))
+            / ((1 - math.exp(-2 * n * lam)) * math.sinh(lam))
+        )
+        parity = (1 - (-1) ** ell) / (4 * math.cosh(lam / 2) ** 2)
+        return main + (1 / math.sinh(lam) ** 2 + parity) / n
+
+    return _in_float_range(value, n, lam)
 
 
 def i2_closed(q: IdentityQuery) -> float:
@@ -109,11 +138,20 @@ def i2_closed(q: IdentityQuery) -> float:
         return math.inf
     n, ell, lam = q.n_terms, q.offset, q.damping
     k = abs(n / 2 - ell)
-    return (
-        math.exp((k - n / 2) * lam)
-        * (1 + math.exp(-2 * k * lam))
-        / ((1 - math.exp(-n * lam)) * math.sinh(lam))
-    )
+
+    def value() -> float:
+        return (
+            math.exp((k - n / 2) * lam)
+            * (1 + math.exp(-2 * k * lam))
+            / ((1 - math.exp(-n * lam)) * math.sinh(lam))
+        )
+
+    return _in_float_range(value, n, lam)
+
+
+def _check_product_args(n_terms: int, lam: float) -> None:
+    if n_terms < 1 or not 0 < lam < math.inf:
+        raise OutOfRangeError("need N >= 1 and finite damping > 0")
 
 
 def product_identity_free(n_terms: int, lam: float) -> tuple[float, float]:
@@ -122,26 +160,32 @@ def product_identity_free(n_terms: int, lam: float) -> tuple[float, float]:
     The 2^(N-1) fixes the integration constant the bare product picks up;
     without it the two sides differ by exactly that power of two.
     """
-    if n_terms < 1 or lam <= 0:
-        raise OutOfRangeError("need N >= 1 and damping > 0")
-    ch = math.cosh(lam)
-    lhs = 1.0
-    for k in range(n_terms):
-        lhs *= ch - math.cos(k * math.pi / n_terms)
-    rhs = math.sinh(n_terms * lam) * math.tanh(lam / 2) / 2 ** (n_terms - 1)
-    return lhs, rhs
+    _check_product_args(n_terms, lam)
+
+    def sides() -> tuple[float, float]:
+        ch = math.cosh(lam)
+        lhs = 1.0
+        for k in range(n_terms):
+            lhs *= ch - math.cos(k * math.pi / n_terms)
+        rhs = math.sinh(n_terms * lam) * math.tanh(lam / 2) / 2 ** (n_terms - 1)
+        return lhs, rhs
+
+    return _in_float_range(sides, n_terms, lam)
 
 
 def product_identity_periodic(n_terms: int, lam: float) -> tuple[float, float]:
     """Product over ring angles vs sinh^2(N lam / 2) / 2^(N-2)."""
-    if n_terms < 1 or lam <= 0:
-        raise OutOfRangeError("need N >= 1 and damping > 0")
-    ch = math.cosh(lam)
-    lhs = 1.0
-    for k in range(n_terms):
-        lhs *= ch - math.cos(2 * k * math.pi / n_terms)
-    rhs = math.sinh(n_terms * lam / 2) ** 2 * 2 ** (2 - n_terms)
-    return lhs, rhs
+    _check_product_args(n_terms, lam)
+
+    def sides() -> tuple[float, float]:
+        ch = math.cosh(lam)
+        lhs = 1.0
+        for k in range(n_terms):
+            lhs *= ch - math.cos(2 * k * math.pi / n_terms)
+        rhs = math.sinh(n_terms * lam / 2) ** 2 * 2 ** (2 - n_terms)
+        return lhs, rhs
+
+    return _in_float_range(sides, n_terms, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +197,9 @@ def r_infinite_2d(dx: int, dy: int, r: float = 1.0, s: float = 1.0) -> float:
     from scipy.integrate import quad  # deferred: costs most of the package import
 
     dx, dy = abs(int(dx)), abs(int(dy))
-    r, s = float(r), float(s)
     for value in (r, s):
         _check_resistance(value)
+    r, s = _to_float(r), _to_float(s)
     if dx == 0 and dy == 0:
         return 0.0
     rho = math.sqrt(r / s)
@@ -180,9 +224,9 @@ def r_infinite_3d(
     from scipy.integrate import dblquad  # deferred, as in r_infinite_2d
 
     dx, dy, dz = abs(int(dx)), abs(int(dy)), abs(int(dz))
-    r, s, t = float(r), float(s), float(t)
     for value in (r, s, t):
         _check_resistance(value)
+    r, s, t = _to_float(r), _to_float(s), _to_float(t)
     if dx == 0 and dy == 0 and dz == 0:
         return 0.0
 

@@ -24,7 +24,7 @@ from .errors import (
     OutOfRangeError,
     ParseError,
 )
-from .network import Network, Resistance, _check_resistance, build_network
+from .network import Network, Resistance, _check_resistance, _to_float, build_network
 
 
 class BoundaryCondition(Enum):
@@ -448,21 +448,6 @@ def r_2d_klein(
     return _compensated(axis, modes)
 
 
-def klein_even_width_term(
-    m: int,
-    n: int,
-    r: float,
-    s: float,
-    p1: tuple[int, int],
-    p2: tuple[int, int],
-) -> float:
-    """Contribution of the alternating width mode; zero for odd widths."""
-    if n % 2 == 1:
-        return 0.0
-    modes = _klein_modes(m, n, float(r), float(s), p1, p2, range(n // 2, n // 2 + 1))
-    return _compensated([], modes)
-
-
 def r_3d_free(
     m: int,
     n: int,
@@ -518,7 +503,7 @@ def r_3d_free(
 def resistance(spec: LatticeSpec, c1: Sequence[int], c2: Sequence[int]) -> float:
     """Closed-form resistance between two coordinate tuples."""
     bc = BoundaryCondition(spec.bc)
-    res = tuple(float(r) for r in spec.resistances)
+    res = tuple(_to_float(r) for r in spec.resistances)
     if bc is BoundaryCondition.FREE_1D:
         return r_1d_free(spec.dims[0], res[0], c1[0], c2[0])
     if bc is BoundaryCondition.PERIODIC_1D:

@@ -11,17 +11,19 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import (
     DisconnectedNetworkError,
     NodeIndexError,
     NonPositiveResistanceError,
+    OutOfRangeError,
     SameNodeError,
     SelfLoopError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Resistance = Union[int, float, Fraction]
 Edge = tuple[int, int, Resistance]
@@ -71,6 +73,35 @@ def _check_resistance(value: Resistance) -> None:
         raise NonPositiveResistanceError(f"resistance must be > 0, got {value!r}")
 
 
+# A float route takes a nonzero magnitude only inside 2**-1021 .. 2**1021,
+# where the value and its reciprocal are both finite, normal floats.
+_FLOAT_EXP_LIMIT = 1020
+_FLOAT_MIN = 2.0 ** -(_FLOAT_EXP_LIMIT + 1)
+_FLOAT_MAX = 2.0 ** (_FLOAT_EXP_LIMIT + 1)
+
+
+def _to_float(value: Resistance) -> float:
+    """``value`` as a float; OutOfRangeError outside the float range.
+
+    Zero passes.  Any other magnitude must lie inside 2**-1021 .. 2**1021:
+    beyond it a float route would overflow, or divide by a value that
+    underflowed to zero.  Ints and Fractions are judged by the bit lengths
+    of numerator and denominator, so the check itself does no division.
+    """
+    if isinstance(value, float):
+        if value == 0.0 or _FLOAT_MIN < abs(value) < _FLOAT_MAX:
+            return value
+        shown = repr(value)
+    else:
+        bits = abs(value.numerator).bit_length() - value.denominator.bit_length()
+        if abs(bits) <= _FLOAT_EXP_LIMIT:
+            return float(value)
+        shown = f"of magnitude about 2**{bits}"
+    raise OutOfRangeError(
+        f"value {shown} outside the float range 2**-1021 .. 2**1021"
+    )
+
+
 def _check_nodes(net: Network, *nodes: int) -> None:
     for node in nodes:
         if not 0 <= node < net.n_nodes:
@@ -106,7 +137,7 @@ def merged_conductances(net: Network) -> dict[tuple[int, int], float]:
     groups: dict[tuple[int, int], list[float]] = {}
     for i, j, r in net.edges:
         key = (i, j) if i < j else (j, i)
-        groups.setdefault(key, []).append(1.0 / float(r))
+        groups.setdefault(key, []).append(1.0 / _to_float(r))
     return {key: math.fsum(vals) for key, vals in groups.items()}
 
 
@@ -117,6 +148,8 @@ def assemble_laplacian(net: Network) -> Laplacian:
     -c_ij, so every row sums to zero exactly up to one float rounding of
     the diagonal.
     """
+    import numpy as np  # deferred: only the float graph route needs arrays
+
     n = net.n_nodes
     mat = np.zeros((n, n))
     rows: list[list[float]] = [[] for _ in range(n)]
@@ -153,6 +186,8 @@ def connectivity_check(net: Network) -> tuple[int, tuple[int, ...]]:
 
 def random_walk_view(net: Network) -> RandomWalkView:
     """Hop probabilities of the walker that picks edges by conductance."""
+    import numpy as np  # deferred, as in assemble_laplacian
+
     n = net.n_nodes
     cond = np.zeros((n, n))
     for (i, j), c in merged_conductances(net).items():

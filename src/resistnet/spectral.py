@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DisconnectedNetworkError, MultipleZeroModesError, NodeIndexError
 from .network import Laplacian
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # An eigenvalue below this fraction of the largest one is a zero mode.
 ZERO_MODE_RTOL = 1e-9
@@ -46,6 +48,8 @@ def decompose(lap: Laplacian) -> Spectrum:
     the number of near-zero eigenvalues differs from the number of graph
     components, which signals numerical failure.
     """
+    import numpy as np  # deferred: routes without eigenmodes never load it
+
     w, v = np.linalg.eigh(lap.matrix)
     top = float(w[-1])
     threshold = ZERO_MODE_RTOL * top if top > 0 else ZERO_MODE_RTOL
@@ -80,6 +84,8 @@ def two_point_resistance(spec: Spectrum, alpha: int, beta: int) -> float:
         raise NodeIndexError(f"nodes ({alpha}, {beta}) outside 0..{n - 1}")
     if alpha == beta:
         return 0.0
+    import numpy as np  # deferred, as in decompose
+
     keep = np.ones(n, dtype=bool)
     keep[list(spec.zero_modes)] = False
     diff = spec.eigenvectors[alpha, keep] - spec.eigenvectors[beta, keep]
@@ -88,6 +94,8 @@ def two_point_resistance(spec: Spectrum, alpha: int, beta: int) -> float:
 
 def resistance_matrix(spec: Spectrum) -> np.ndarray:
     """All-pairs resistance table: symmetric, zero diagonal."""
+    import numpy as np  # deferred, as in decompose
+
     _require_connected(spec)
     keep = np.ones(spec.n, dtype=bool)
     keep[list(spec.zero_modes)] = False

@@ -152,6 +152,11 @@ def test_exit_code_parse_error(capsys):
     )
     assert code == 2
     assert report["error"]["type"] == "ParseError"
+    # a JSON integer longer than Python parses
+    huge = '{"nodes": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 4400)
+    code, report = run_json(capsys, ["graph", "--inline", huge, "--from", "0", "--to", "1"])
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
     # resistance literals of lattice/infinite, reported in the requested format
     for literal in ("abc", "nan", "1/0", "2..5"):
         for argv in (
@@ -214,6 +219,50 @@ def test_exit_code_range_error(capsys):
         code, report = run_json(capsys, ["infinite", *args])
         assert code == 4
         assert report["error"]["type"] == "NonPositiveResistanceError"
+    # identity damping that is not finite, or too large for a float at this N
+    for args in (
+        ["--which", "i1", "--N", "5", "--lambda", "nan"],
+        ["--which", "i1", "--N", "5", "--lambda", "inf"],
+        ["--which", "product-free", "--N", "3", "--lambda", "nan"],
+        ["--which", "product-free", "--N", "3", "--lambda", "inf"],
+        ["--which", "product-free", "--N", "3", "--lambda", "1000"],
+        ["--which", "product-periodic", "--N", "40", "--lambda", "50"],
+        ["--which", "i1", "--N", "5", "--lambda", "1000"],
+    ):
+        code, report = run_json(capsys, ["identity", *args])
+        assert code == 4
+        assert report["error"]["type"] == "OutOfRangeError"
+    # rationals outside the float range, on every route that converts them
+    one_edge = '{"nodes": 2, "edges": [[0, 1, "%s"]]}'
+    for argv in (
+        ["lattice", "--bc", "free", "--dims", "3", "--from", "0", "--to", "2",
+         "--r", "1e400"],
+        ["lattice", "--bc", "free", "--dims", "3", "--from", "0", "--to", "2",
+         "--r", "1e400", "--mode", "exact"],
+        ["lattice", "--bc", "free", "--dims", "3", "--from", "0", "--to", "2",
+         "--r", "1e-400", "--mode", "float"],
+        ["infinite", "--delta", "1,0", "--r", "1e400"],
+        ["infinite", "--delta", "1,0", "--r", "1e-400"],
+        ["graph", "--inline", one_edge % "1e400", "--from", "0", "--to", "1"],
+        ["graph", "--inline", one_edge % "1e400", "--from", "0", "--to", "1",
+         "--mode", "exact"],
+        ["graph", "--inline", one_edge % "1e400", "--from", "0", "--to", "1",
+         "--mode", "both"],
+        ["graph", "--inline", one_edge % "1e-400", "--from", "0", "--to", "1"],
+    ):
+        code, report = run_json(capsys, argv)
+        assert code == 4
+        assert report["error"]["type"] == "OutOfRangeError"
+    # an exact value with more digits than Python turns into text
+    chain = {"nodes": 17,
+             "edges": [[k, k + 1, f"1/{10**300 + k}"] for k in range(16)]}
+    code, report = run_json(
+        capsys,
+        ["graph", "--inline", json.dumps(chain), "--from", "0", "--to", "16",
+         "--mode", "exact"],
+    )
+    assert code == 4
+    assert report["error"]["type"] == "OutOfRangeError"
 
 
 def test_tolerance_env_var_gates_both_mode(capsys, monkeypatch):

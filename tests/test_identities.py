@@ -130,6 +130,34 @@ def test_product_identities_hold():
             assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
+def test_damping_outside_float_range():
+    for lam in (math.nan, math.inf):
+        with pytest.raises(OutOfRangeError):
+            q1(5, 0, lam)
+        with pytest.raises(OutOfRangeError):
+            product_identity_free(3, lam)
+        with pytest.raises(OutOfRangeError):
+            product_identity_periodic(3, lam)
+    # too large (cosh, sinh and the products overflow) or too small (the
+    # sums pass the largest float): typed, never inf, NaN or a traceback
+    for call in (
+        lambda: product_identity_free(3, 1000.0),
+        lambda: product_identity_periodic(40, 50.0),
+        lambda: i1_closed(q1(5, 0, 1000.0)),
+        lambda: i1_direct(q1(5, 0, 1000.0)),
+        lambda: i2_closed(q2(5, 0, 1000.0)),
+        lambda: i1_closed(q1(5, 1, 1e-200)),
+        lambda: i2_direct(q2(5, 0, 1e-200)),
+    ):
+        with pytest.raises(OutOfRangeError):
+            call()
+    # a large damping that still fits gets its finite value
+    lhs, rhs = product_identity_free(3, 200.0)
+    assert math.isfinite(lhs) and abs(lhs - rhs) <= 1e-10 * rhs
+    closed, direct = i2_closed(q2(5, 0, 300.0)), i2_direct(q2(5, 0, 300.0))
+    assert 0 < closed < 1e-100 and closed == pytest.approx(direct, rel=1e-12)
+
+
 def test_infinite_2d_values():
     assert r_infinite_2d(0, 0) == 0.0
     assert r_infinite_2d(1, 0) == pytest.approx(0.5, abs=1e-10)
@@ -166,18 +194,72 @@ def test_infinite_resistances_validated():
             integral(*delta, **res)
 
 
-def test_package_import_leaves_quadrature_unloaded():
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter with this checkout's src."""
     src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.strip()
+
+
+def test_package_import_leaves_quadrature_unloaded():
     code = (
         "import sys; import resistnet; "
         "print('scipy.integrate' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    ).stdout
-    assert out.strip() == "False"
+    assert fresh_python(code) == "False"
+
+
+LAYERS = ("errors", "network", "spectral", "exact", "lattice", "identities", "golden")
+
+
+def test_package_import_loads_every_layer_but_not_numpy():
+    code = (
+        "import sys; import resistnet as rn; "
+        f"print(all('resistnet.' + m in sys.modules for m in {LAYERS!r}), "
+        "'numpy' in sys.modules); "
+        "import resistnet.cli; "
+        "print('resistnet.cli' in sys.modules, 'numpy' in sys.modules); "
+        "net = rn.build_network(3, [(0, 1, 1), (1, 2, 2)]); "
+        "spec = rn.decompose(rn.assemble_laplacian(net)); "
+        "print(round(rn.two_point_resistance(spec, 0, 2), 12), 'numpy' in sys.modules)"
+    )
+    assert fresh_python(code).splitlines() == [
+        "True False",
+        "True False",
+        "3.0 True",
+    ]
+
+
+_CLI_SCRIPT = """
+import contextlib, io, sys
+from resistnet.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+_LATTICE = ["lattice", "--bc", "klein", "--dims", "5x4", "--from", "0,0", "--to", "3,3"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (_LATTICE + ["--mode", "float"], 0),
+        (_LATTICE + ["--mode", "exact"], 0),
+        (_LATTICE + ["--mode", "both"], 0),
+        (["identity", "--which", "i1", "--N", "8", "--ell", "3", "--lambda", "0.5"], 0),
+        (["graph", "--inline", '{"nodes": 3, "edges": [[0, 1, 1], [1, 2, "1/2"]]}',
+          "--from", "0", "--to", "2", "--mode", "exact"], 0),
+        (_LATTICE + ["--r", "1e400"], 4),
+    ],
+    ids=["lattice-float", "lattice-exact", "lattice-both", "identity", "graph-exact",
+         "range-error"],
+)
+def test_cli_route_runs_without_numpy(argv, code):
+    assert fresh_python(_CLI_SCRIPT, *argv) == f"{code} False"
 
 
 def test_infinite_3d_against_torus_extrapolation():

@@ -40,7 +40,8 @@ from resistnet.exact import (
 from resistnet.lattice import (
     BoundaryCondition,
     LatticeSpec,
-    klein_even_width_term,
+    _compensated,
+    _klein_modes,
     klein_parity,
 )
 
@@ -192,6 +193,14 @@ def test_grid_reference_values():
     ]
     for fn, expected in cases:
         assert fn(5, 4, 1, 1, *pair) == pytest.approx(float(expected), rel=1e-12)
+
+
+def klein_even_width_term(m, n, r, s, p1, p2):
+    """Contribution of the alternating width mode; zero for odd widths."""
+    if n % 2 == 1:
+        return 0.0
+    modes = _klein_modes(m, n, float(r), float(s), p1, p2, range(n // 2, n // 2 + 1))
+    return _compensated([], modes)
 
 
 def test_klein_even_width_sector():
