@@ -107,7 +107,11 @@ def parse_network_text(text: str, exact_mode: bool = False) -> network.Network:
             try:
                 value = int(raw)
             except ValueError:
-                value = parse_resistance_literal(float(raw), exact_mode)
+                try:
+                    literal = float(raw)
+                except ValueError as err:
+                    raise ParseError(f"line {lineno}: bad resistance in {line!r}") from err
+                value = parse_resistance_literal(literal, exact_mode)
         edges.append((i, j, value))
         max_node = max(max_node, i, j)
     return network.build_network(max_node + 1, edges)
@@ -122,7 +126,10 @@ def load_network(path: str | None, inline: str | None, exact_mode: bool) -> netw
         except ValueError as err:  # JSONDecodeError, or an int past the digit limit
             raise ParseError(f"bad inline JSON: {err}") from err
         return parse_network_json(obj, exact_mode)
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+        raise ParseError(f"{path}: cannot read: {err}") from err
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -125,7 +125,12 @@ def i1_closed(q: IdentityQuery) -> float:
             / ((1 - math.exp(-2 * n * lam)) * math.sinh(lam))
         )
         parity = (1 - (-1) ** ell) / (4 * math.cosh(lam / 2) ** 2)
-        return main + (1 / math.sinh(lam) ** 2 + parity) / n
+        try:
+            csch2 = 1 / math.sinh(lam) ** 2
+        except OverflowError:  # sinh(lam)**2 leaves the float range from lam ~ 355.6
+            decay = math.exp(-lam)
+            csch2 = (2 * decay / (1 - decay * decay)) ** 2
+        return main + (csch2 + parity) / n
 
     return _in_float_range(value, n, lam)
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import lru_cache
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     NodeIndexError,
@@ -230,13 +232,81 @@ def g_sum(n_nodes: int, ell: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-axis mode tables
+#
+# Every closed form below sums |psi(a) - psi(b)|^2 / lambda over a Kronecker
+# sum of per-axis spectra, so each angle, basis value and eigenvalue part
+# depends on one axis only.  These tables hold them, one O(length) tuple per
+# key.  The closed-form values are pinned to the bit, so each entry and each
+# term keeps its float expression, association order included.  The caches
+# are small and fixed: a long run holds a few hundred tuples at most.
+
+_TABLE_CACHE = 64
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _free_basis(length: int, coord: int) -> tuple[float, ...]:
+    """Free-chain basis cos((x + 1/2) theta_k), theta_k = k pi / L, k = 1..L-1."""
+    return tuple(math.cos((coord + 0.5) * (k * math.pi / length)) for k in range(1, length))
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _free_parts(length: int, res: float) -> tuple[float, ...]:
+    """Free-chain eigenvalue parts (1 - cos theta_k) / r, k = 1..L-1."""
+    return tuple((1 - math.cos(k * math.pi / length)) / res for k in range(1, length))
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _sector_angles(length: int, sector: int) -> tuple[float, ...]:
+    """Ring (sector 0) or antiperiodic (sector 1) angles (2k + sector) pi / L.
+
+    k runs over 0..L-1; the sector-0 angles are the doubled chain angles
+    2 theta_k bit for bit, since doubling is exact.
+    """
+    return tuple((2 * k + sector) * math.pi / length for k in range(length))
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _sector_parts(length: int, res: float, sector: int, scale: int) -> tuple[float, ...]:
+    """Eigenvalue parts scale * (1 - cos omega_k) / r over the sector angles."""
+    return tuple(scale * (1 - math.cos(w)) / res for w in _sector_angles(length, sector))
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _sector_runs(length: int, offset: int, sector: int) -> tuple[float, ...]:
+    """Run factors cos(d omega_k) of an offset d over the sector angles."""
+    return tuple(math.cos(offset * w) for w in _sector_angles(length, sector))
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _klein_basis(n: int, y: int) -> tuple[float, ...]:
+    """Klein width factors of coordinate y for the width modes 0..N-1."""
+    return tuple(klein_transverse_factor(n, nn, y) for nn in range(n))
+
+
+def _free_axis(length: int, c1: int, c2: int, res: float) -> list[tuple[float, float, float]]:
+    """(basis value at c1, basis value at c2, eigenvalue part) per free-chain mode."""
+    return list(zip(_free_basis(length, c1), _free_basis(length, c2), _free_parts(length, res)))
+
+
+def _ring_terms(widths: Iterable, runs: tuple, parts: tuple, scale: int) -> Iterator[float]:
+    """Terms (a^2 + b^2 - 2ab cos(d omega)) / (scale (lambda_l + lambda_w)).
+
+    The length axis is a ring, twisted or not: runs and parts hold its run
+    factors and eigenvalue parts per sector.  widths yields (a, b, width
+    part, sector) per width mode, a and b the width basis values at the two
+    endpoints.
+    """
+    return (
+        (sq - cross * run) / (scale * (part + dy))
+        for a, b, dy, sector in widths
+        for sq, cross in [(a * a + b * b, 2 * a * b)]
+        for run, part in zip(runs[sector], parts[sector])
+    )
+
+
+# ---------------------------------------------------------------------------
 # closed forms
-
-
-def _compensated(axis_terms: list[float], modes: list[tuple[float, float]]) -> float:
-    """Sum axis terms plus per-mode terms, largest eigenvalue first."""
-    modes.sort(key=lambda t: (-t[0], t[1]))
-    return math.fsum(axis_terms + [c for _, c in modes])
 
 
 def _check_range(value: int, limit: int, what: str) -> None:
@@ -275,18 +345,14 @@ def r_2d_free(
     r = float(r)
     s = float(s)
     axis = [r * abs(x1 - x2) / n, s * abs(y1 - y2) / m]
-    modes: list[tuple[float, float]] = []
-    for mm in range(1, m):
-        theta = mm * math.pi / m
-        cx1 = math.cos((x1 + 0.5) * theta)
-        cx2 = math.cos((x2 + 0.5) * theta)
-        dx_part = (1 - math.cos(theta)) / r
-        for nn in range(1, n):
-            phi = nn * math.pi / n
-            num = (cx1 * math.cos((y1 + 0.5) * phi) - cx2 * math.cos((y2 + 0.5) * phi)) ** 2
-            den = dx_part + (1 - math.cos(phi)) / s
-            modes.append((2 * den, 2 * num / (m * n * den)))
-    return _compensated(axis, modes)
+    width = _free_axis(n, y1, y2, s)
+    mn = m * n
+    terms = (
+        2 * (cx1 * cy1 - cx2 * cy2) ** 2 / (mn * (dx + dy))
+        for cx1, cx2, dx in _free_axis(m, x1, x2, r)
+        for cy1, cy2, dy in width
+    )
+    return math.fsum(chain(axis, terms))
 
 
 def r_2d_periodic(
@@ -307,16 +373,18 @@ def r_2d_periodic(
     dx = x1 - x2
     dy = y1 - y2
     axis = [r * g_sum(m, dx) / n, s * g_sum(n, dy) / m]
-    modes: list[tuple[float, float]] = []
-    for mm in range(1, m):
-        theta = mm * math.pi / m
-        dx_part = (1 - math.cos(2 * theta)) / r
-        for nn in range(1, n):
-            phi = nn * math.pi / n
-            num = 1 - math.cos(2 * dx * theta + 2 * dy * phi)
-            den = dx_part + (1 - math.cos(2 * phi)) / s
-            modes.append((2 * den, num / (m * n * den)))
-    return _compensated(axis, modes)
+    width = [
+        (dy * w, part)
+        for w, part in zip(_sector_angles(n, 0)[1:], _sector_parts(n, s, 0, 1)[1:])
+    ]
+    mn = m * n
+    terms = (
+        (1 - math.cos(ax + ay)) / (mn * (px + py))
+        for w, px in zip(_sector_angles(m, 0)[1:], _sector_parts(m, r, 0, 1)[1:])
+        for ax in [dx * w]
+        for ay, py in width
+    )
+    return math.fsum(chain(axis, terms))
 
 
 def r_2d_cylinder(
@@ -336,19 +404,10 @@ def r_2d_cylinder(
     s = float(s)
     dx = x1 - x2
     axis = [r * g_sum(m, dx) / n, s * abs(y1 - y2) / m]
-    modes: list[tuple[float, float]] = []
-    for mm in range(1, m):
-        theta = mm * math.pi / m
-        cos_run = math.cos(2 * dx * theta)
-        dx_part = (1 - math.cos(2 * theta)) / r
-        for nn in range(1, n):
-            phi = nn * math.pi / n
-            c1 = math.cos((y1 + 0.5) * phi)
-            c2 = math.cos((y2 + 0.5) * phi)
-            num = c1 * c1 + c2 * c2 - 2 * c1 * c2 * cos_run
-            den = dx_part + (1 - math.cos(phi)) / s
-            modes.append((2 * den, num / (m * n * den)))
-    return _compensated(axis, modes)
+    widths = zip(_free_basis(n, y1), _free_basis(n, y2), _free_parts(n, s), repeat(0))
+    runs = (_sector_runs(m, dx, 0)[1:],)
+    parts = (_sector_parts(m, r, 0, 1)[1:],)
+    return math.fsum(chain(axis, _ring_terms(widths, runs, parts, m * n)))
 
 
 def r_2d_moebius(
@@ -372,18 +431,11 @@ def r_2d_moebius(
     s = float(s)
     dx = x1 - x2
     axis = [r * g_sum(m, dx) / n]
-    modes: list[tuple[float, float]] = []
-    for nn in range(1, n):
-        phi = nn * math.pi / n
-        c1 = math.cos((y1 + 0.5) * phi)
-        c2 = math.cos((y2 + 0.5) * phi)
-        dy_part = (1 - math.cos(phi)) / s
-        for mm in range(m):
-            omega = (4 * mm + 1 - (-1) ** nn) * math.pi / (2 * m)
-            num = c1 * c1 + c2 * c2 - 2 * c1 * c2 * math.cos(dx * omega)
-            den = (1 - math.cos(omega)) / r + dy_part
-            modes.append((2 * den, num / (m * n * den)))
-    return _compensated(axis, modes)
+    sectors = (nn % 2 for nn in range(1, n))
+    widths = zip(_free_basis(n, y1), _free_basis(n, y2), _free_parts(n, s), sectors)
+    runs = (_sector_runs(m, dx, 0), _sector_runs(m, dx, 1))
+    parts = (_sector_parts(m, r, 0, 1), _sector_parts(m, r, 1, 1))
+    return math.fsum(chain(axis, _ring_terms(widths, runs, parts, m * n)))
 
 
 def klein_parity(n: int, nn: int) -> int:
@@ -402,7 +454,7 @@ def klein_transverse_factor(n: int, nn: int, y: int) -> float:
     return math.sqrt(2 / n) * math.sin((2 * y + 1) * nn * math.pi / n)
 
 
-def _klein_modes(
+def _klein_terms(
     m: int,
     n: int,
     r: float,
@@ -410,22 +462,15 @@ def _klein_modes(
     p1: tuple[int, int],
     p2: tuple[int, int],
     widths: range,
-) -> list[tuple[float, float]]:
+) -> Iterator[float]:
+    """Klein-bottle mode terms of the width modes in ``widths``."""
     x1, y1 = p1
     x2, y2 = p2
-    dx = x1 - x2
-    modes: list[tuple[float, float]] = []
-    for nn in widths:
-        tau = klein_parity(n, nn)
-        a = klein_transverse_factor(n, nn, y1)
-        b = klein_transverse_factor(n, nn, y2)
-        dy_part = 2 * (1 - math.cos(2 * nn * math.pi / n)) / s
-        for mm in range(m):
-            omega = (2 * mm + tau) * math.pi / m
-            lam = 2 * (1 - math.cos(omega)) / r + dy_part
-            num = a * a + b * b - 2 * a * b * math.cos(dx * omega)
-            modes.append((lam, num / (m * lam)))
-    return modes
+    a, b, width_parts = _klein_basis(n, y1), _klein_basis(n, y2), _sector_parts(n, s, 0, 2)
+    modes = ((a[nn], b[nn], width_parts[nn], klein_parity(n, nn)) for nn in widths)
+    runs = (_sector_runs(m, x1 - x2, 0), _sector_runs(m, x1 - x2, 1))
+    parts = (_sector_parts(m, r, 0, 2), _sector_parts(m, r, 1, 2))
+    return _ring_terms(modes, runs, parts, m)
 
 
 def r_2d_klein(
@@ -444,8 +489,7 @@ def r_2d_klein(
     r = float(r)
     s = float(s)
     axis = [r * g_sum(m, x1 - x2) / n]
-    modes = _klein_modes(m, n, r, s, p1, p2, range(1, n))
-    return _compensated(axis, modes)
+    return math.fsum(chain(axis, _klein_terms(m, n, r, s, p1, p2, range(1, n))))
 
 
 def r_3d_free(
@@ -479,25 +523,16 @@ def r_3d_free(
         -r_1d_free(n, s, y1, y2) / (l * m),
         -r_1d_free(l, t, z1, z2) / (m * n),
     ]
-    modes: list[tuple[float, float]] = []
-    for mm in range(1, m):
-        theta = mm * math.pi / m
-        fx1 = math.cos((x1 + 0.5) * theta)
-        fx2 = math.cos((x2 + 0.5) * theta)
-        dx_part = (1 - math.cos(theta)) / r
-        for nn in range(1, n):
-            phi = nn * math.pi / n
-            fy1 = math.cos((y1 + 0.5) * phi)
-            fy2 = math.cos((y2 + 0.5) * phi)
-            dy_part = (1 - math.cos(phi)) / s
-            for ll in range(1, l):
-                alpha = ll * math.pi / l
-                fz1 = math.cos((z1 + 0.5) * alpha)
-                fz2 = math.cos((z2 + 0.5) * alpha)
-                num = (fx1 * fy1 * fz1 - fx2 * fy2 * fz2) ** 2
-                den = dx_part + dy_part + (1 - math.cos(alpha)) / t
-                modes.append((2 * den, 4 * num / (m * n * l * den)))
-    return _compensated(axis, modes)
+    width, depth = _free_axis(n, y1, y2, s), _free_axis(l, z1, z2, t)
+    mnl = m * n * l
+    terms = (
+        4 * (fxy1 * fz1 - fxy2 * fz2) ** 2 / (mnl * (dxy + dz))
+        for fx1, fx2, dx in _free_axis(m, x1, x2, r)
+        for fy1, fy2, dy in width
+        for fxy1, fxy2, dxy in [(fx1 * fy1, fx2 * fy2, dx + dy)]
+        for fz1, fz2, dz in depth
+    )
+    return math.fsum(chain(axis, terms))
 
 
 def resistance(spec: LatticeSpec, c1: Sequence[int], c2: Sequence[int]) -> float:

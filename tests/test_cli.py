@@ -146,12 +146,24 @@ def test_csv_and_text_formats(capsys):
     assert "value_float: 1.70786" in out
 
 
-def test_exit_code_parse_error(capsys):
+def test_exit_code_parse_error(capsys, tmp_path):
     code, report = run_json(
         capsys, ["graph", "--inline", "{bad json", "--from", "0", "--to", "1"]
     )
     assert code == 2
     assert report["error"]["type"] == "ParseError"
+    # --input files that cannot be read or hold a bad text literal
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"nodes": 2, "edges": [[0, 1, "\xff"]]}')
+    bad_literal = tmp_path / "bad.txt"
+    bad_literal.write_text("0 1 abc\n")
+    for path in (tmp_path / "missing.json", tmp_path, not_utf8, bad_literal):
+        code, report = run_json(
+            capsys, ["graph", "--input", str(path), "--from", "0", "--to", "1"]
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
+        assert (str(path) if path is not bad_literal else "line 1") in report["error"]["message"]
     # a JSON integer longer than Python parses
     huge = '{"nodes": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 4400)
     code, report = run_json(capsys, ["graph", "--inline", huge, "--from", "0", "--to", "1"])

@@ -12,6 +12,7 @@ import io
 import json
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -44,6 +45,20 @@ def index_in(size: int):
     return st.sampled_from(tuple(range(size)) * 3 + (-1, size))
 
 
+# --input routes, by file name: a path that does not exist, a directory,
+# bytes that are not UTF-8, a bad text literal, and two readable networks.
+# The test writes them under a temporary directory.
+INPUT_FILES = {
+    "missing.json": None,
+    "directory": None,
+    "latin1.json": b'{"nodes": 2, "edges": [[0, 1, "\xff"]]}',
+    "latin1.txt": b"0 1 \xe9\n",
+    "bad-literal.txt": b"0 1 abc\n",
+    "net.json": b'{"nodes": 3, "edges": [[0, 1, 1], [1, 2, "1/2"]]}',
+    "net.txt": b"# two resistors\n0 1 2\n1 2 0.5\n",
+}
+
+
 @st.composite
 def graph_argv(draw):
     n = draw(st.integers(1, 6))
@@ -53,6 +68,16 @@ def graph_argv(draw):
     return [
         "graph", f"--inline={inline}", f"--from={draw(node)}", f"--to={draw(node)}",
         f"--mode={draw(MODES)}",
+    ]
+
+
+@st.composite
+def input_argv(draw):
+    """``graph --input=<name>``; the test puts the file's path in its place."""
+    node = index_in(3)
+    return [
+        "graph", "--input=" + draw(st.sampled_from(sorted(INPUT_FILES))),
+        f"--from={draw(node)}", f"--to={draw(node)}", f"--mode={draw(MODES)}",
     ]
 
 
@@ -95,7 +120,7 @@ def infinite_argv(draw):
 
 
 ARGV = st.one_of(
-    graph_argv(), lattice_argv(), identity_argv(), infinite_argv(),
+    graph_argv(), input_argv(), lattice_argv(), identity_argv(), infinite_argv(),
     st.just(["reproduce"]),
 )
 
@@ -110,6 +135,17 @@ def flat_report(out: str, fmt: str) -> dict[str, str]:
     return dict(line.split(": ", 1) for line in out.splitlines())
 
 
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    """``--input=<name>`` -> ``--input=<path>`` for every file in INPUT_FILES."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "directory").mkdir()
+    for name, data in INPUT_FILES.items():
+        if data is not None:
+            (root / name).write_bytes(data)
+    return {f"--input={name}": f"--input={root / name}" for name in INPUT_FILES}
+
+
 @settings(
     max_examples=100,
     derandomize=True,
@@ -118,10 +154,10 @@ def flat_report(out: str, fmt: str) -> dict[str, str]:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(argv=ARGV, fmt=FORMATS)
-def test_cli_main_keeps_the_error_contract(argv, fmt):
+def test_cli_main_keeps_the_error_contract(input_paths, argv, fmt):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(argv + [f"--format={fmt}"])
+        code = cli.main([input_paths.get(arg, arg) for arg in argv] + [f"--format={fmt}"])
     assert code in (0, 2, 3, 4, 5)
     report = flat_report(buf.getvalue(), fmt)
     if "error.exit_code" in report:

@@ -158,6 +158,40 @@ def test_damping_outside_float_range():
     assert 0 < closed < 1e-100 and closed == pytest.approx(direct, rel=1e-12)
 
 
+def test_i1_closed_past_sinh_square_overflow():
+    # sinh(lam)**2 overflows from lam ~ 355.6, where the value is still a
+    # float; the defining sum cancels to about eps / cosh(lam), which sets
+    # the scale of the comparison
+    for n in (1, 2, 3, 5, 8, 13, 40):
+        for lam in (300.0, 355.0, 355.6, 356.0, 400.0, 500.0, 650.0, 700.0):
+            for ell in range(2 * n):
+                closed = i1_closed(q1(n, ell, lam))
+                direct = i1_direct(q1(n, ell, lam))
+                scale = max(abs(closed), 1 / math.cosh(lam))
+                assert abs(closed - direct) <= 1e-12 * scale, (n, ell, lam)
+    assert i1_closed(q1(5, 0, 400.0)) == pytest.approx(2 * math.exp(-400.0) / 5, rel=1e-14)
+
+
+# (N, offset, damping) -> i1_closed below the overflow cut-over, to the bit
+I1_CLOSED_BITS = [
+    (1, 0, 0.5, 7.835396178065528),
+    (5, 0, 1.0, 0.9958077271870003),
+    (5, 3, 2.5, 0.033596644886907265),
+    (8, 7, 0.05, 98.75252673529619),
+    (12, 5, 30.0, 1.5596038281400292e-14),
+    (40, 17, 100.0, 1.8600379880104184e-45),
+    (5, 2, 300.0, 2.1203172424034485e-261),
+    (5, 1, 354.0, 7.2746716804412904e-155),
+    (3, 0, 355.0, 1.3381010762532297e-154),
+    (7, 4, 355.3, 1.40379312407878e-309),
+]
+
+
+@pytest.mark.parametrize("n,ell,lam,want", I1_CLOSED_BITS)
+def test_i1_closed_bits_below_cut_over(n, ell, lam, want):
+    assert repr(i1_closed(q1(n, ell, lam))) == repr(want)
+
+
 def test_infinite_2d_values():
     assert r_infinite_2d(0, 0) == 0.0
     assert r_infinite_2d(1, 0) == pytest.approx(0.5, abs=1e-10)

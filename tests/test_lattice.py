@@ -40,8 +40,7 @@ from resistnet.exact import (
 from resistnet.lattice import (
     BoundaryCondition,
     LatticeSpec,
-    _compensated,
-    _klein_modes,
+    _klein_terms,
     klein_parity,
 )
 
@@ -199,8 +198,7 @@ def klein_even_width_term(m, n, r, s, p1, p2):
     """Contribution of the alternating width mode; zero for odd widths."""
     if n % 2 == 1:
         return 0.0
-    modes = _klein_modes(m, n, float(r), float(s), p1, p2, range(n // 2, n // 2 + 1))
-    return _compensated([], modes)
+    return math.fsum(_klein_terms(m, n, float(r), float(s), p1, p2, range(n // 2, n // 2 + 1)))
 
 
 def test_klein_even_width_sector():
@@ -243,6 +241,73 @@ def test_moebius_2x2_all_pairs_half():
         for b in range(a + 1, 4):
             got = resistance(spec, spec.node_coords(a), spec.node_coords(b))
             assert got == pytest.approx(1.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exact bits of the closed forms
+#
+# (wrap, dims, resistances, pair) -> repr of the value.  Every row is pinned
+# to the last bit, so a rewrite of the mode sums must keep each term's float
+# expression; the rows cover every wrap, negative offsets, even and odd
+# twisted widths, int, p/q and float resistances, sizes past the sweep, and
+# small lattices whose few terms each reach the last bit of the sum.
+
+PINNED_BITS = [
+    (BC.FREE_1D, (7,), (Fraction(1, 3),), (5,), (1,), 1.3333333333333333),
+    (BC.FREE_1D, (40,), (0.7,), (3,), (38,), 24.5),
+    (BC.PERIODIC_1D, (9,), (2,), (7,), (2,), 4.444444444444445),
+    (BC.PERIODIC_1D, (41,), (Fraction(5, 7),), (0,), (30,), 5.749128919860628),
+    (BC.FREE_2D, (5, 4), (1, 1), (0, 0), (3, 3), 1.70786368672497),
+    (BC.FREE_2D, (6, 5), (Fraction(2, 3), 3), (5, 4), (1, 0), 3.1471636631279467),
+    (BC.FREE_2D, (40, 37), (1.3, 0.45), (3, 30), (35, 2), 2.2866545874757596),
+    (BC.FREE_2D, (1, 9), (2, Fraction(1, 3)), (0, 8), (0, 1), 2.333333333333333),
+    (BC.FREE_2D, (23, 2), (0.9, 1.7), (22, 1), (0, 0), 10.433615778909639),
+    (BC.PERIODIC_2D, (5, 4), (1, 1), (0, 0), (3, 3), 0.6809370988446726),
+    (BC.PERIODIC_2D, (6, 7), (Fraction(1, 3), 2), (5, 6), (1, 2), 0.8364827664393163),
+    (BC.PERIODIC_2D, (40, 37), (0.8, 1.25), (31, 2), (4, 29), 1.3156727574044127),
+    (BC.PERIODIC_2D, (2, 11), (1, 0.3), (1, 10), (0, 0), 0.2986197581453511),
+    (BC.CYLINDER, (5, 4), (1, 1), (0, 0), (3, 3), 1.1842671194114318),
+    (BC.CYLINDER, (7, 6), (2, Fraction(3, 5)), (6, 5), (2, 0), 1.5365603742155087),
+    (BC.CYLINDER, (40, 37), (1.1, 0.6), (39, 1), (7, 33), 1.6438019057931468),
+    (BC.CYLINDER, (9, 1), (Fraction(4, 3), 1), (8, 0), (3, 0), 2.962962962962963),
+    (BC.MOEBIUS, (5, 4), (1, 1), (0, 0), (3, 3), 0.8963676797627871),
+    (BC.MOEBIUS, (6, 5), (Fraction(1, 2), 2), (5, 4), (0, 1), 0.6827470728526592),
+    (BC.MOEBIUS, (7, 6), (0.35, 1.9), (6, 0), (2, 5), 0.6212237328983323),
+    (BC.MOEBIUS, (40, 37), (1, Fraction(2, 7)), (38, 20), (1, 3), 0.7094734161416602),
+    (BC.MOEBIUS, (37, 40), (2.5, 0.75), (0, 39), (36, 0), 1.157641859118324),
+    (BC.MOEBIUS, (2, 2), (3, 3), (1, 1), (0, 0), 1.5),
+    (BC.KLEIN, (5, 4), (1, 1), (0, 0), (3, 3), 0.6541494802837815),
+    (BC.KLEIN, (6, 5), (Fraction(3, 2), Fraction(1, 4)), (5, 4), (1, 0), 0.5684223682853101),
+    (BC.KLEIN, (7, 6), (0.6, 1.4), (6, 1), (0, 4), 0.3713641920528102),
+    (BC.KLEIN, (40, 37), (2, 0.55), (35, 36), (2, 0), 1.26718330098673),
+    (BC.KLEIN, (37, 40), (Fraction(7, 3), 1.05), (1, 39), (30, 2), 1.8965469751865107),
+    (BC.KLEIN, (2, 2), (1, 2), (1, 0), (0, 1), 0.49999999999999994),
+    (BC.KLEIN, (1, 8), (1, 1), (0, 7), (0, 2), 1.1654411764705879),
+    (BC.FREE_3D, (5, 5, 4), (1, 1, 1), (0, 0, 0), (3, 3, 3), 0.9296932796507861),
+    (BC.FREE_3D, (3, 4, 2), (Fraction(1, 3), 2, 1), (2, 3, 1), (0, 0, 0), 1.4083796597155647),
+    (BC.FREE_3D, (7, 5, 6), (0.8, 1.6, Fraction(2, 5)), (6, 4, 5), (1, 2, 0), 0.7603665469462573),
+    (BC.FREE_3D, (7, 5, 6), (1, 1, 1), (3, 0, 2), (3, 4, 2), 0.6005049981777748),
+    (BC.FREE_3D, (12, 9, 10), (1.2, 0.5, 2.2), (11, 1, 9), (0, 8, 0), 1.309791442656666),
+    (BC.FREE_3D, (1, 6, 5), (2, 3, 5), (0, 5, 0), (0, 1, 4), 7.606739463661904),
+    (BC.FREE_3D, (4, 1, 3), (Fraction(5, 2), 1, 0.4), (3, 0, 2), (0, 0, 0), 2.893807699276563),
+    # small lattices, where one term's last bit reaches the sum
+    (BC.FREE_2D, (3, 3), (1, Fraction(1, 3)), (0, 0), (1, 0), 0.55),
+    (BC.PERIODIC_2D, (5, 2), (2, 1), (3, 0), (4, 1), 1.0247706422018348),
+    (BC.CYLINDER, (3, 5), (2, 2), (0, 2), (0, 4), 1.9455535390199634),
+    (BC.MOEBIUS, (5, 3), (1, 1), (0, 2), (0, 0), 0.8799999999999999),
+    (BC.KLEIN, (6, 4), (2, 2), (2, 0), (3, 0), 0.985780885780886),
+    (BC.FREE_3D, (3, 3, 2), (0.7, 2, 2), (0, 1, 0), (0, 0, 1), 1.0662105635915387),
+    # same node
+    (BC.FREE_2D, (6, 6), (1, 1), (2, 3), (2, 3), 0.0),
+    (BC.KLEIN, (5, 4), (1, 2), (4, 0), (4, 0), 0.0),
+    (BC.FREE_3D, (4, 4, 4), (1, 2, 3), (1, 2, 3), (1, 2, 3), 0.0),
+]
+
+
+@pytest.mark.parametrize("bc,dims,res,c1,c2,want", PINNED_BITS)
+def test_closed_form_bits_pinned(bc, dims, res, c1, c2, want):
+    spec = LatticeSpec(dims=dims, resistances=res, bc=bc)
+    assert repr(resistance(spec, c1, c2)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
