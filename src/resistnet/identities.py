@@ -199,7 +199,7 @@ def product_identity_periodic(n_terms: int, lam: float) -> tuple[float, float]:
 
 def r_infinite_2d(dx: int, dy: int, r: float = 1.0, s: float = 1.0) -> float:
     """Resistance between grid points of the infinite square lattice."""
-    from scipy.integrate import quad  # deferred: costs most of the package import
+    from ._quadpack import quad  # deferred: routes without the integrals skip compiling it
 
     dx, dy = abs(int(dx)), abs(int(dy))
     for value in (r, s):
@@ -226,7 +226,7 @@ def r_infinite_3d(
     dx: int, dy: int, dz: int, r: float = 1.0, s: float = 1.0, t: float = 1.0
 ) -> float:
     """Resistance between grid points of the infinite cubic lattice."""
-    from scipy.integrate import dblquad  # deferred, as in r_infinite_2d
+    from ._quadpack import dblquad  # deferred, as in r_infinite_2d
 
     dx, dy, dz = abs(int(dx)), abs(int(dy)), abs(int(dz))
     for value in (r, s, t):
@@ -235,22 +235,20 @@ def r_infinite_3d(
     if dx == 0 and dy == 0 and dz == 0:
         return 0.0
 
-    def integrand(phi: float, alpha: float) -> float:
-        radial = r * (
-            math.sin(phi / 2) ** 2 / s + math.sin(alpha / 2) ** 2 / t
-        )
-        if radial == 0.0:
-            return r * dx
-        lam = 2 * math.asinh(math.sqrt(radial))
-        return (
-            r
-            * (1 - math.cos(dy * phi) * math.cos(dz * alpha) * math.exp(-dx * lam))
-            / math.sinh(lam)
-        )
+    def integrand(alpha: float) -> Callable[[float], float]:
+        alpha_part = math.sin(alpha / 2) ** 2 / t
+        cos_z = math.cos(dz * alpha)
 
-    value, err = dblquad(
-        integrand, 0.0, math.pi, 0.0, math.pi, epsabs=1e-10, epsrel=1e-10
-    )
+        def over_phi(phi: float) -> float:
+            radial = r * (math.sin(phi / 2) ** 2 / s + alpha_part)
+            if radial == 0.0:
+                return r * dx
+            lam = 2 * math.asinh(math.sqrt(radial))
+            return r * (1 - math.cos(dy * phi) * cos_z * math.exp(-dx * lam)) / math.sinh(lam)
+
+        return over_phi
+
+    value, err = dblquad(integrand, 0.0, math.pi, 0.0, math.pi, epsabs=1e-10, epsrel=1e-10)
     if err > QUAD_ABS_TOL_3D:
         raise QuadratureFailureError(f"estimated error {err:g} above {QUAD_ABS_TOL_3D:g}")
     return value / math.pi**2

@@ -26,6 +26,7 @@ from resistnet import (
     r_infinite_2d,
     r_infinite_3d,
 )
+from resistnet.cli import main
 from resistnet.golden import torus_3d_value
 
 
@@ -241,9 +242,9 @@ def fresh_python(code: str, *args: str) -> str:
 def test_package_import_leaves_quadrature_unloaded():
     code = (
         "import sys; import resistnet; "
-        "print('scipy.integrate' in sys.modules)"
+        "print('scipy.integrate' in sys.modules, 'resistnet._quadpack' in sys.modules)"
     )
-    assert fresh_python(code) == "False"
+    assert fresh_python(code) == "False False"
 
 
 LAYERS = ("errors", "network", "spectral", "exact", "lattice", "identities", "golden")
@@ -272,7 +273,7 @@ import contextlib, io, sys
 from resistnet.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "scipy" in sys.modules)
 """
 
 _LATTICE = ["lattice", "--bc", "klein", "--dims", "5x4", "--from", "0,0", "--to", "3,3"]
@@ -288,12 +289,57 @@ _LATTICE = ["lattice", "--bc", "klein", "--dims", "5x4", "--from", "0,0", "--to"
         (["graph", "--inline", '{"nodes": 3, "edges": [[0, 1, 1], [1, 2, "1/2"]]}',
           "--from", "0", "--to", "2", "--mode", "exact"], 0),
         (_LATTICE + ["--r", "1e400"], 4),
+        (["infinite", "--delta", "2,1", "--s", "1/3"], 0),
+        (["infinite", "--delta", "1,1,0", "--t", "2"], 0),
     ],
     ids=["lattice-float", "lattice-exact", "lattice-both", "identity", "graph-exact",
-         "range-error"],
+         "range-error", "infinite-2d", "infinite-3d"],
 )
 def test_cli_route_runs_without_numpy(argv, code):
-    assert fresh_python(_CLI_SCRIPT, *argv) == f"{code} False"
+    assert fresh_python(_CLI_SCRIPT, *argv) == f"{code} False False"
+
+
+def test_reproduce_loads_no_scipy():
+    assert fresh_python(_CLI_SCRIPT, "reproduce") == "0 True False"
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from resistnet.cli import main
+code = main(sys.argv[1:])
+print(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--format", "csv"],
+        ["infinite", "--delta", "1,1"],
+        ["infinite", "--delta", "1,0,0", "--r", "2", "--t", "1/2"],
+        ["graph", "--inline", '{"nodes": 3, "edges": [[0, 1, 1], [1, 2, "1/2"]]}',
+         "--from", "0", "--to", "2", "--mode", "float"],
+    ],
+    ids=["reproduce", "infinite-2d", "infinite-3d", "graph-float"],
+)
+def test_cli_route_runs_without_scipy(capsys, argv):
+    code = main(argv)
+    expected = capsys.readouterr().out + str(code)
+    assert code == 0
+    assert fresh_python(_NO_SCIPY_SCRIPT, *argv) == expected.strip()
+
+
+@pytest.mark.parametrize("delta, code", [("0,500", 0), ("0,1000", 5)])
+def test_infinite_writes_nothing_to_stderr_at_the_subdivision_limit(delta, code):
+    """Both offsets reach limit=200; 0,1000 also fails the error bound, exit 5."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "resistnet.cli", "infinite", "--delta", delta],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stderr) == (code, "")
+    assert ("QuadratureFailureError" in done.stdout) == (code == 5)
 
 
 def test_infinite_3d_against_torus_extrapolation():
