@@ -246,7 +246,6 @@ def _run_graph(args) -> tuple[dict, int]:
         "pair": [alpha, beta],
         "spec": {"nodes": net.n_nodes, "edges": len(net.edges)},
     }
-    tol = golden.comparison_tolerance()
     code = EXIT_OK
     if args.mode == "float":
         spectrum = spectral.decompose(network.assemble_laplacian(net))
@@ -258,6 +257,7 @@ def _run_graph(args) -> tuple[dict, int]:
         report["value_exact"] = _exact_text(value)
         report["value_float"] = network._to_float(value)
     else:
+        tol = golden.comparison_tolerance()
         spectrum = spectral.decompose(network.assemble_laplacian(net))
         value_f = spectral.two_point_resistance(spectrum, alpha, beta)
         value_x = exact.solve_exact(net, alpha, beta)
@@ -291,7 +291,6 @@ def _run_lattice(args) -> tuple[dict, int]:
             "resistances": [str(r) for r in res],
         },
     }
-    tol = golden.comparison_tolerance()
     code = EXIT_OK
     if args.mode == "float":
         report["method"] = "closed-form"
@@ -303,6 +302,7 @@ def _run_lattice(args) -> tuple[dict, int]:
         report["value_exact"] = _exact_text(value)
         report["value_float"] = network._to_float(value)
     else:
+        tol = golden.comparison_tolerance()
         value_f = lattice.resistance(spec, c1, c2)
         net = lattice.make_lattice(spec)
         value_x = exact.solve_exact(net, spec.node_index(c1), spec.node_index(c2))

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DisconnectedNetworkError,
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
 ExactRational = Fraction
 
 
-@dataclass(frozen=True)
-class KirchhoffSystem:
+class KirchhoffSystem(NamedTuple):
     """Solution of the grounded Kirchhoff system for one resistance query.
 
     ``potentials`` covers every node, with the grounded node beta pinned to
@@ -279,8 +277,7 @@ KLEIN_5X4 = Fraction(3, 10) + Fraction(5, 58) + Fraction(56, 209)
 FREE_5X5X4 = Fraction(327687658482872, 352468567489225)
 
 
-@dataclass(frozen=True)
-class OracleCase:
+class OracleCase(NamedTuple):
     """One golden benchmark: a network, a node pair, its exact resistance.
 
     ``spec`` is the lattice the network was generated from, if any;
@@ -295,8 +292,7 @@ class OracleCase:
     spec: LatticeSpec | None = None
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     case: OracleCase
     computed: Fraction
 

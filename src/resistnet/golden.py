@@ -7,22 +7,36 @@ failures are reported as rows so the whole table always renders.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import exact, identities, lattice, network, spectral
+from .errors import OutOfRangeError, ParseError
 
 DEFAULT_TOL = 1e-9
 
 
 def comparison_tolerance() -> float:
-    """Float/exact agreement tolerance; RESISTNET_TOL overrides."""
-    return float(os.environ.get("RESISTNET_TOL", str(DEFAULT_TOL)))
+    """Float/exact agreement tolerance; RESISTNET_TOL overrides.
+
+    ParseError when the override is not a number; OutOfRangeError when it
+    is NaN, negative or infinite.
+    """
+    raw = os.environ.get("RESISTNET_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    try:
+        tol = float(raw)
+    except ValueError as err:
+        raise ParseError(f"RESISTNET_TOL: bad number {raw!r}") from err
+    if not 0.0 <= tol < math.inf:
+        raise OutOfRangeError(f"RESISTNET_TOL must be finite and >= 0, got {raw!r}")
+    return tol
 
 
-@dataclass(frozen=True)
-class ReproRow:
+class ReproRow(NamedTuple):
     ident: str
     description: str
     expected: str
@@ -92,8 +106,7 @@ def _offset_row(case: exact.OracleCase, tol: float) -> ReproRow:
     row = _case_row(case, tol)
     shifted = lattice.resistance(case.spec, (0, 0), (2, 1))
     agrees = abs(shifted - float(row.computed["closed-form"])) <= 1e-12
-    return replace(
-        row,
+    return row._replace(
         computed=row.computed | {"closed-form-offset-2-1": _fmt(shifted)},
         passed=row.passed and agrees,
     )

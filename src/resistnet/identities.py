@@ -10,8 +10,7 @@ sinh(v/2) = sqrt(r/s) sin(phi/2); adaptive quadrature does the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import lattice
 from .errors import OutOfRangeError, ParseError, QuadratureFailureError
@@ -21,8 +20,14 @@ QUAD_ABS_TOL_2D = 1e-8
 QUAD_ABS_TOL_3D = 1e-6
 
 
-@dataclass(frozen=True)
-class IdentityQuery:
+class _IdentityQueryFields(NamedTuple):
+    n_terms: int
+    offset: int
+    damping: float
+    variant: int = 1
+
+
+class IdentityQuery(_IdentityQueryFields):
     """Parameters of one damped lattice sum.
 
     variant 1 uses angles k*pi/N with offsets 0 <= offset < 2N; variant 2
@@ -30,24 +35,27 @@ class IdentityQuery:
     hyperbolic parameter; its exp(-damping) appears as the decay factor.
     """
 
-    n_terms: int
-    offset: int
-    damping: float
-    variant: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variant not in (1, 2):
-            raise OutOfRangeError(f"variant must be 1 or 2, got {self.variant}")
-        if self.n_terms < 1:
-            raise OutOfRangeError(f"need N >= 1, got {self.n_terms}")
-        if not 0 <= self.damping < math.inf:
-            raise OutOfRangeError(f"damping must be finite and >= 0, got {self.damping}")
-        limit = 2 * self.n_terms if self.variant == 1 else self.n_terms
-        if not 0 <= self.offset < limit:
+    def __new__(
+        cls, n_terms: int, offset: int, damping: float, variant: int = 1
+    ) -> IdentityQuery:
+        if variant not in (1, 2):
+            raise OutOfRangeError(f"variant must be 1 or 2, got {variant}")
+        if n_terms < 1:
+            raise OutOfRangeError(f"need N >= 1, got {n_terms}")
+        if not 0 <= damping < math.inf:
+            raise OutOfRangeError(f"damping must be finite and >= 0, got {damping}")
+        limit = 2 * n_terms if variant == 1 else n_terms
+        if not 0 <= offset < limit:
             raise OutOfRangeError(
-                f"offset {self.offset} outside 0..{limit - 1} for variant "
-                f"{self.variant}"
+                f"offset {offset} outside 0..{limit - 1} for variant {variant}"
             )
+        return super().__new__(cls, n_terms, offset, damping, variant)
+
+    @classmethod
+    def _make(cls, iterable) -> IdentityQuery:
+        return cls(*iterable)  # so that _replace validates too
 
     @property
     def decay_factor(self) -> float:
@@ -258,8 +266,7 @@ def r_infinite_3d(
 # finite-size convergence
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     size: int
     finite_value: float
     difference: float

@@ -15,11 +15,10 @@ or length-2 axis produces self-loops (dropped) or parallel edges (kept).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     NodeIndexError,
@@ -48,8 +47,13 @@ class BoundaryCondition(Enum):
         return 2
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class _LatticeSpecFields(NamedTuple):
+    dims: tuple[int, ...]
+    resistances: tuple[Resistance, ...]
+    bc: BoundaryCondition
+
+
+class LatticeSpec(_LatticeSpecFields):
     """Lattice geometry: node counts per axis, per-axis resistances, wrap tag.
 
     The first axis (length M, resistance r) is the wrapped one on the
@@ -57,24 +61,29 @@ class LatticeSpec:
     the Klein bottle is additionally periodic along the second axis.
     """
 
-    dims: tuple[int, ...]
-    resistances: tuple[Resistance, ...]
-    bc: BoundaryCondition
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != self.bc.ndim:
+    def __new__(
+        cls,
+        dims: tuple[int, ...],
+        resistances: tuple[Resistance, ...],
+        bc: BoundaryCondition,
+    ) -> LatticeSpec:
+        if len(dims) != bc.ndim:
             raise ParseError(
-                f"{self.bc.value} needs {self.bc.ndim} axis length(s), "
-                f"got {self.dims!r}"
+                f"{bc.value} needs {bc.ndim} axis length(s), got {dims!r}"
             )
-        if len(self.resistances) != len(self.dims):
-            raise ParseError(
-                f"need one resistance per axis, got {self.resistances!r}"
-            )
-        if any(d < 1 for d in self.dims):
-            raise ParseError(f"axis lengths must be >= 1, got {self.dims!r}")
-        for r in self.resistances:
+        if len(resistances) != len(dims):
+            raise ParseError(f"need one resistance per axis, got {resistances!r}")
+        if any(d < 1 for d in dims):
+            raise ParseError(f"axis lengths must be >= 1, got {dims!r}")
+        for r in resistances:
             _check_resistance(r)
+        return super().__new__(cls, dims, resistances, bc)
+
+    @classmethod
+    def _make(cls, iterable) -> LatticeSpec:
+        return cls(*iterable)  # so that _replace validates too
 
     @property
     def n_nodes(self) -> int:
@@ -105,8 +114,7 @@ class LatticeSpec:
         return tuple(coords)
 
 
-@dataclass(frozen=True)
-class LatticeMode:
+class LatticeMode(NamedTuple):
     """One analytic eigenmode: axis quantum numbers, angles, eigenvalue."""
 
     numbers: tuple[int, ...]
@@ -114,8 +122,7 @@ class LatticeMode:
     eigenvalue: float
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
+class ModeSpectrum(NamedTuple):
     """Analytic eigenvalues of a lattice Laplacian, one entry per mode."""
 
     spec: LatticeSpec

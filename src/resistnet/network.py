@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     DisconnectedNetworkError,
@@ -29,8 +28,7 @@ Resistance = Union[int, float, Fraction]
 Edge = tuple[int, int, Resistance]
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple):
     """Immutable resistor network; build through :func:`build_network`."""
 
     n_nodes: int
@@ -45,8 +43,7 @@ class Network:
         return adj
 
 
-@dataclass(frozen=True)
-class Laplacian:
+class Laplacian(NamedTuple):
     """Dense symmetric Kirchhoff matrix with exactly-zero row sums.
 
     ``components`` is the number of connected components of the network
@@ -58,8 +55,7 @@ class Laplacian:
     components: int
 
 
-@dataclass(frozen=True)
-class RandomWalkView:
+class RandomWalkView(NamedTuple):
     """Hop probabilities p[i, j] = c_ij / c_i and coordination numbers."""
 
     hop_probabilities: np.ndarray
@@ -203,11 +199,19 @@ def random_walk_view(net: Network) -> RandomWalkView:
 
 
 def node_conductance(net: Network, node: int) -> float:
-    """Total conductance c_i attached to a node."""
+    """Total conductance c_i attached to a node.
+
+    OutOfRangeError where an edge or the total leaves the float range.
+    """
     _check_nodes(net, node)
-    return math.fsum(
-        1.0 / float(r) for i, j, r in net.edges if node in (i, j)
-    )
+    try:
+        return math.fsum(
+            1.0 / _to_float(r) for i, j, r in net.edges if node in (i, j)
+        )
+    except OverflowError as err:
+        raise OutOfRangeError(
+            f"conductance at node {node} outside the float range"
+        ) from err
 
 
 def first_passage_probability(
@@ -226,8 +230,17 @@ def first_passage_probability(
         raise DisconnectedNetworkError(
             f"nodes {alpha} and {beta} lie in different components"
         )
+    if isinstance(resistance, float) and not math.isfinite(resistance):
+        raise NonPositiveResistanceError(
+            f"two-point resistance must be finite, got {resistance!r}"
+        )
     if resistance <= 0:
         raise NonPositiveResistanceError(
             f"two-point resistance must be > 0, got {resistance!r}"
         )
-    return 1.0 / (node_conductance(net, alpha) * float(resistance))
+    product = node_conductance(net, alpha) * _to_float(resistance)
+    if not _FLOAT_MIN < product < _FLOAT_MAX:
+        raise OutOfRangeError(
+            f"c_alpha * R = {product!r} outside the float range 2**-1021 .. 2**1021"
+        )
+    return 1.0 / product

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DisconnectedNetworkError, MultipleZeroModesError, NodeIndexError
 from .network import Laplacian
@@ -15,8 +14,7 @@ if TYPE_CHECKING:
 ZERO_MODE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigensystem of a network Laplacian, eigenvalues ascending.
 
     Column i of ``eigenvectors`` belongs to ``eigenvalues[i]``.  Zero modes
@@ -86,24 +84,31 @@ def two_point_resistance(spec: Spectrum, alpha: int, beta: int) -> float:
         return 0.0
     import numpy as np  # deferred, as in decompose
 
-    keep = np.ones(n, dtype=bool)
-    keep[list(spec.zero_modes)] = False
-    diff = spec.eigenvectors[alpha, keep] - spec.eigenvectors[beta, keep]
-    return float(np.sum(diff * diff / spec.eigenvalues[keep]))
+    # The eigenvalues ascend, so the zero modes are the first columns.
+    c = len(spec.zero_modes)
+    diff = spec.eigenvectors[alpha, c:] - spec.eigenvectors[beta, c:]
+    return float(np.sum(diff * diff / spec.eigenvalues[c:]))
 
 
 def resistance_matrix(spec: Spectrum) -> np.ndarray:
-    """All-pairs resistance table: symmetric, zero diagonal."""
+    """All-pairs resistance table: symmetric, zero diagonal.
+
+    Entry (a, b) is G_aa + G_bb - G_ab - G_ba, clipped at zero, where G is
+    the pseudo-inverse built from the nonzero modes; the table is built in
+    place, next to G, with no other n x n temporary.
+    """
     import numpy as np  # deferred, as in decompose
 
     _require_connected(spec)
-    keep = np.ones(spec.n, dtype=bool)
-    keep[list(spec.zero_modes)] = False
-    scaled = spec.eigenvectors[:, keep] / np.sqrt(spec.eigenvalues[keep])
+    c = len(spec.zero_modes)  # a prefix, as in two_point_resistance
+    scaled = spec.eigenvectors[:, c:] / np.sqrt(spec.eigenvalues[c:])
     gram = scaled @ scaled.T
+    del scaled
     diag = np.diag(gram)
-    table = diag[:, None] + diag[None, :] - gram - gram.T
-    table = np.maximum(table, 0.0)
+    table = np.add.outer(diag, diag)
+    table -= gram
+    table -= gram.T
+    np.maximum(table, 0.0, out=table)
     np.fill_diagonal(table, 0.0)
     table.setflags(write=False)
     return table

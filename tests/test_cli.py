@@ -292,6 +292,39 @@ def test_tolerance_env_var_gates_both_mode(capsys, monkeypatch):
     assert code == 0
 
 
+_TOL_ROUTES = {
+    "graph": ["graph", "--inline", '{"nodes": 3, "edges": [[0,1,3],[1,2,5],[0,2,2]]}',
+              "--from", "0", "--to", "2"],
+    "lattice": ["lattice", "--bc", "free", "--dims", "5x4", "--from", "0,0", "--to", "3,3"],
+}
+
+
+@pytest.mark.parametrize(
+    "raw, code, error",
+    [("abc", 2, "ParseError"), ("", 2, "ParseError"), ("nan", 4, "OutOfRangeError"),
+     ("-1", 4, "OutOfRangeError"), ("inf", 4, "OutOfRangeError"),
+     ("1e400", 4, "OutOfRangeError")],
+)
+def test_tolerance_env_var_is_validated(capsys, monkeypatch, raw, code, error):
+    """Only the routes that compare float with exact read RESISTNET_TOL."""
+    monkeypatch.setenv("RESISTNET_TOL", raw)
+    for argv in _TOL_ROUTES.values():
+        got, report = run_json(capsys, argv + ["--mode", "both"])
+        assert (got, report["error"]["type"]) == (code, error)
+        assert "RESISTNET_TOL" in report["error"]["message"]
+        for mode in ("float", "exact"):
+            assert run_json(capsys, argv + ["--mode", mode])[0] == 0
+    got, report = run_json(capsys, ["reproduce"])
+    assert (got, report["error"]["type"]) == (code, error)
+
+
+def test_tolerance_env_var_zero_is_exact_equality(capsys, monkeypatch):
+    monkeypatch.setenv("RESISTNET_TOL", "0")
+    code, report = run_json(capsys, ["lattice", "--bc", "free", "--dims", "5x4",
+                                     "--from", "0,0", "--to", "1,0", "--mode", "both"])
+    assert (code, report["discrepancy"]) == (0, 0.0)
+
+
 def test_exact_mode_rejects_float_literals(capsys):
     code, report = run_json(
         capsys,

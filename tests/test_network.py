@@ -1,5 +1,6 @@
 """Network construction, Laplacian assembly, and random-walk view."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from resistnet import (
     DisconnectedNetworkError,
     NodeIndexError,
     NonPositiveResistanceError,
+    OutOfRangeError,
     SameNodeError,
     SelfLoopError,
     assemble_laplacian,
@@ -20,6 +22,7 @@ from resistnet import (
     random_walk_view,
 )
 from resistnet.exact import bridge_network, complete_network
+from resistnet.network import node_conductance
 
 
 def test_smallest_network():
@@ -160,6 +163,38 @@ def test_first_passage_errors():
     for pair in ((0, -1), (-1, 1), (0, 4), (4, 0)):
         with pytest.raises(NodeIndexError):
             first_passage_probability(net, *pair, 1.0)
+
+
+def test_node_conductance_outside_float_range_is_typed():
+    for r in (Fraction(1, 10**400), 10**400):
+        net = build_network(3, [(0, 1, 1), (1, 2, r)])
+        with pytest.raises(OutOfRangeError):
+            node_conductance(net, 1)
+        with pytest.raises(OutOfRangeError):
+            first_passage_probability(net, 1, 0, 1.0)
+        assert node_conductance(net, 0) == 1.0  # node 0 does not touch the edge
+    # twenty conductances of 1e307 each sum past the largest float
+    parallel = build_network(2, [(0, 1, 1e-307)] * 20)
+    with pytest.raises(OutOfRangeError):
+        node_conductance(parallel, 0)
+
+
+def test_first_passage_rejects_a_resistance_outside_float_range():
+    net = build_network(2, [(0, 1, 3.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveResistanceError, match="finite"):
+            first_passage_probability(net, 0, 1, bad)
+    for bad in (Fraction(1, 10**400), 10**400):
+        with pytest.raises(OutOfRangeError):
+            first_passage_probability(net, 0, 1, bad)
+    # each factor in range, their product not: c = 1e300 times R = 1e100,
+    # and c = 1/3 times R = 1e-307
+    wide = build_network(2, [(0, 1, 1e-300)])
+    with pytest.raises(OutOfRangeError):
+        first_passage_probability(wide, 0, 1, 1e100)
+    with pytest.raises(OutOfRangeError):
+        first_passage_probability(net, 0, 1, 1e-307)
+    assert first_passage_probability(net, 0, 1, Fraction(3)) == 1.0
 
 
 def test_fraction_resistances_survive():

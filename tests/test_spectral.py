@@ -226,3 +226,34 @@ def test_degenerate_basis_independence():
     diag = np.diag(gram)
     other = diag[:, None] + diag[None, :] - gram - gram.T
     assert np.abs(ours - other).max() <= 1e-10
+
+
+def _masked_reference(spec: Spectrum):
+    """The former boolean-mask expressions of the two queries."""
+    keep = np.ones(spec.n, dtype=bool)
+    keep[list(spec.zero_modes)] = False
+    scaled = spec.eigenvectors[:, keep] / np.sqrt(spec.eigenvalues[keep])
+    gram = scaled @ scaled.T
+    diag = np.diag(gram)
+    table = diag[:, None] + diag[None, :] - gram - gram.T
+    table = np.maximum(table, 0.0)
+    np.fill_diagonal(table, 0.0)
+
+    def pair(alpha, beta):
+        diff = spec.eigenvectors[alpha, keep] - spec.eigenvectors[beta, keep]
+        return float(np.sum(diff * diff / spec.eigenvalues[keep]))
+
+    return table, pair
+
+
+@pytest.mark.parametrize("n_max", [2, 12, 90, 300])
+def test_queries_keep_the_bits_of_the_masked_expressions(n_max):
+    rng = random.Random(n_max)
+    for _ in range(3):
+        net = random_connected_network(rng, max_nodes=n_max, min_nodes=max(2, n_max // 2))
+        spec = spectrum_of(net)
+        table, pair = _masked_reference(spec)
+        assert resistance_matrix(spec).tobytes() == table.tobytes()
+        for _ in range(20):
+            a, b = rng.randrange(spec.n), rng.randrange(spec.n)
+            assert two_point_resistance(spec, a, b) == (pair(a, b) if a != b else 0.0)
