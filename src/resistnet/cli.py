@@ -242,6 +242,7 @@ def _run_graph(args) -> tuple[dict, int]:
     exact_mode = args.mode in ("exact", "both")
     net = load_network(args.input, args.inline, exact_mode)
     alpha, beta = args.src, args.dst
+    network._check_nodes(net, alpha, beta)  # before any solve, in every mode
     report: dict = {
         "pair": [alpha, beta],
         "spec": {"nodes": net.n_nodes, "edges": len(net.edges)},

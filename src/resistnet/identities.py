@@ -99,14 +99,25 @@ def _direct_sum(q: IdentityQuery) -> float:
 
 
 def i1_direct(q: IdentityQuery) -> float:
-    """Defining N-term sum of the variant-1 identity."""
+    """Defining N-term sum of the variant-1 identity, term by term in floats.
+
+    At large damping it cancels: each term is about cos(...)/cosh(damping),
+    the sum is far smaller, and what is left is the rounding of the terms.
+    At N = 3, offset 2, damping 300 it returns -3.3e-147 against a true
+    3.5e-261 (``i1_closed``), so a closed-minus-direct difference there
+    measures that rounding, not the identity.
+    """
     if q.variant != 1:
         raise OutOfRangeError("i1 takes a variant-1 query")
     return _direct_sum(q)
 
 
 def i2_direct(q: IdentityQuery) -> float:
-    """Defining N-term sum of the variant-2 identity."""
+    """Defining N-term sum of the variant-2 identity, term by term in floats.
+
+    It cancels at large damping as ``i1_direct`` does: at N = 3, offset 2,
+    damping 300 it returns 1.3e-146 against a true 5.3e-261 (``i2_closed``).
+    """
     if q.variant != 2:
         raise OutOfRangeError("i2 takes a variant-2 query")
     return _direct_sum(q)

@@ -8,6 +8,14 @@ Laplacian instead of diagonalizing numerically; the generators emit the
 explicit edge lists so the exact and spectral solvers can cross-check
 every value.
 
+Every lattice is a Kronecker sum of per-axis chains, so one table,
+``_AXES``, gives each wrap as its axis kinds: a free chain, a ring, or a
+twist.  A twist is axis 0 of a 2D grid, wrapped onto the flipped axis 1;
+its modes take the periodic or antiperiodic sector from the parity of
+the width mode (Tzeng & Wu, Appl. Math. Lett. 13 (2000) 19).  The number
+of axes, the edge list of ``make_lattice`` and the modes of
+``mode_spectrum`` are all read from that table.
+
 Nodes are indexed x + M*y + M*N*z with x fastest.  Wrapping a length-1
 or length-2 axis produces self-loops (dropped) or parallel edges (kept).
 """
@@ -17,7 +25,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -40,11 +48,21 @@ class BoundaryCondition(Enum):
 
     @property
     def ndim(self) -> int:
-        if self in (BoundaryCondition.FREE_1D, BoundaryCondition.PERIODIC_1D):
-            return 1
-        if self is BoundaryCondition.FREE_3D:
-            return 3
-        return 2
+        return len(_AXES[self])
+
+
+# The kind of each axis, x first: a free chain, a ring, or a twist.  A twist
+# is axis 0 of a 2D grid, wrapped onto the flipped axis 1.
+_AXES = {
+    BoundaryCondition.FREE_1D: ("free",),
+    BoundaryCondition.PERIODIC_1D: ("ring",),
+    BoundaryCondition.FREE_2D: ("free", "free"),
+    BoundaryCondition.PERIODIC_2D: ("ring", "ring"),
+    BoundaryCondition.CYLINDER: ("ring", "free"),
+    BoundaryCondition.MOEBIUS: ("twist", "free"),
+    BoundaryCondition.KLEIN: ("twist", "ring"),
+    BoundaryCondition.FREE_3D: ("free", "free", "free"),
+}
 
 
 class _LatticeSpecFields(NamedTuple):
@@ -138,80 +156,30 @@ class ModeSpectrum(NamedTuple):
 
 
 def make_lattice(spec: LatticeSpec) -> Network:
-    """Explicit edge list realizing the boundary condition."""
-    bc = BoundaryCondition(spec.bc)
-    if bc.ndim == 1:
-        (m,) = spec.dims
-        (r,) = spec.resistances
-        if bc is BoundaryCondition.FREE_1D:
-            edges = [(x, x + 1, r) for x in range(m - 1)]
-        else:
-            edges = [
-                (x, (x + 1) % m, r) for x in range(m) if x != (x + 1) % m
-            ]
-        return build_network(m, edges)
+    """Explicit edge list realizing the boundary condition.
 
-    if bc is BoundaryCondition.FREE_3D:
-        m, n, l = spec.dims
-        r, s, t = spec.resistances
-        edges = []
-        for z in range(l):
-            for y in range(n):
-                for x in range(m - 1):
-                    edges.append(
-                        (spec.node_index((x, y, z)), spec.node_index((x + 1, y, z)), r)
-                    )
-        for z in range(l):
-            for x in range(m):
-                for y in range(n - 1):
-                    edges.append(
-                        (spec.node_index((x, y, z)), spec.node_index((x, y + 1, z)), s)
-                    )
-        for y in range(n):
-            for x in range(m):
-                for z in range(l - 1):
-                    edges.append(
-                        (spec.node_index((x, y, z)), spec.node_index((x, y, z + 1)), t)
-                    )
-        return build_network(spec.n_nodes, edges)
-
-    m, n = spec.dims
-    r, s = spec.resistances
-    edges = []
-
-    if bc is BoundaryCondition.FREE_2D:
-        for y in range(n):
-            for x in range(m - 1):
-                edges.append((spec.node_index((x, y)), spec.node_index((x + 1, y)), r))
-    elif bc in (BoundaryCondition.PERIODIC_2D, BoundaryCondition.CYLINDER):
-        for y in range(n):
-            for x in range(m):
-                a = spec.node_index((x, y))
-                b = spec.node_index(((x + 1) % m, y))
-                if a != b:
-                    edges.append((a, b, r))
-    else:  # Moebius strip / Klein bottle: wrap with a flip of the width axis
-        for y in range(n):
-            for x in range(m - 1):
-                edges.append((spec.node_index((x, y)), spec.node_index((x + 1, y)), r))
-            a = spec.node_index((m - 1, y))
-            b = spec.node_index((0, n - 1 - y))
-            if a != b:
-                edges.append((a, b, r))
-
-    if bc in (BoundaryCondition.PERIODIC_2D, BoundaryCondition.KLEIN):
-        for x in range(m):
-            for y in range(n):
-                a = spec.node_index((x, y))
-                b = spec.node_index((x, (y + 1) % n))
-                if a != b:
-                    edges.append((a, b, s))
-    else:
-        for x in range(m):
-            for y in range(n - 1):
-                edges.append((spec.node_index((x, y)), spec.node_index((x, y + 1)), s))
-
-    return build_network(spec.n_nodes, edges)
+    Axis by axis, and line by line along it (the other coordinates in
+    index order), the chain edges come first, then the line's wrap edge
+    from its last node if the axis is a ring or a twist.
+    """
+    n_nodes = spec.n_nodes
+    edges: list = []
+    stride = 1
+    for kind, length, res in zip(_AXES[spec.bc], spec.dims, spec.resistances):
+        block = stride * length
+        last = block - stride  # offset of a line's last node from its first
+        for top in range(0, n_nodes, block):
+            for base in range(top, top + stride):
+                edges += [(i, i + stride, res) for i in range(base, base + last, stride)]
+                if kind == "free":
+                    continue
+                # a ring closes on the line's first node; the twist on the
+                # first node of the mirrored row, y -> N - 1 - y
+                far = base if kind == "ring" else n_nodes - block - base
+                if base + last != far:
+                    edges.append((base + last, far, res))
+        stride = block
+    return build_network(n_nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +220,21 @@ _TABLE_CACHE = 64
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
+def _chain_angles(length: int) -> tuple[float, ...]:
+    """Free-chain angles theta_k = k pi / L, k = 0..L-1."""
+    return tuple(k * math.pi / length for k in range(length))
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
 def _free_basis(length: int, coord: int) -> tuple[float, ...]:
-    """Free-chain basis cos((x + 1/2) theta_k), theta_k = k pi / L, k = 1..L-1."""
-    return tuple(math.cos((coord + 0.5) * (k * math.pi / length)) for k in range(1, length))
+    """Free-chain basis cos((x + 1/2) theta_k), k = 1..L-1."""
+    return tuple(math.cos((coord + 0.5) * w) for w in _chain_angles(length)[1:])
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
 def _free_parts(length: int, res: float) -> tuple[float, ...]:
     """Free-chain eigenvalue parts (1 - cos theta_k) / r, k = 1..L-1."""
-    return tuple((1 - math.cos(k * math.pi / length)) / res for k in range(1, length))
+    return tuple((1 - math.cos(w)) / res for w in _chain_angles(length)[1:])
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -567,58 +541,30 @@ def resistance(spec: LatticeSpec, c1: Sequence[int], c2: Sequence[int]) -> float
 # analytic spectra
 
 
-def _eig(parts: list[tuple[float, float]]) -> float:
+def _eig(parts: Iterable[tuple[float, float]]) -> float:
     """Eigenvalue from per-axis (angle, resistance) contributions."""
     return math.fsum(2 * (1 - math.cos(a)) / r for a, r in parts)
 
 
 def mode_spectrum(spec: LatticeSpec) -> ModeSpectrum:
-    """Analytic eigenmodes; multiset-equal to the numeric spectrum."""
-    bc = BoundaryCondition(spec.bc)
+    """Analytic eigenmodes; multiset-equal to the numeric spectrum.
+
+    A free axis takes the chain angles, a ring the sector-0 angles, and a
+    twist the sector that the width mode nn picks: nn % 2 on a free width,
+    ``klein_parity`` on a periodic one.
+    """
+    axes, dims = _AXES[spec.bc], spec.dims
     res = tuple(float(r) for r in spec.resistances)
-    modes: list[LatticeMode] = []
-
-    if bc.ndim == 1:
-        (m,) = spec.dims
-        double = 2 if bc is BoundaryCondition.PERIODIC_1D else 1
-        for mm in range(m):
-            angle = double * mm * math.pi / m
-            modes.append(LatticeMode((mm,), (angle,), _eig([(angle, res[0])])))
-        return ModeSpectrum(spec, tuple(modes))
-
-    if bc is BoundaryCondition.FREE_3D:
-        m, n, l = spec.dims
-        for mm in range(m):
-            for nn in range(n):
-                for ll in range(l):
-                    angles = (
-                        mm * math.pi / m,
-                        nn * math.pi / n,
-                        ll * math.pi / l,
-                    )
-                    lam = _eig(list(zip(angles, res)))
-                    modes.append(LatticeMode((mm, nn, ll), angles, lam))
-        return ModeSpectrum(spec, tuple(modes))
-
-    m, n = spec.dims
-    for mm in range(m):
-        for nn in range(n):
-            if bc is BoundaryCondition.FREE_2D:
-                angles = (mm * math.pi / m, nn * math.pi / n)
-            elif bc is BoundaryCondition.PERIODIC_2D:
-                angles = (2 * mm * math.pi / m, 2 * nn * math.pi / n)
-            elif bc is BoundaryCondition.CYLINDER:
-                angles = (2 * mm * math.pi / m, nn * math.pi / n)
-            elif bc is BoundaryCondition.MOEBIUS:
-                angles = (
-                    (4 * mm + 1 - (-1) ** nn) * math.pi / (2 * m),
-                    nn * math.pi / n,
-                )
-            else:  # Klein bottle
-                angles = (
-                    (2 * mm + klein_parity(n, nn)) * math.pi / m,
-                    2 * nn * math.pi / n,
-                )
-            lam = _eig(list(zip(angles, res)))
-            modes.append(LatticeMode((mm, nn), angles, lam))
+    tables = [
+        (_chain_angles(d),) if kind == "free" else (_sector_angles(d, 0), _sector_angles(d, 1))
+        for kind, d in zip(axes, dims)
+    ]
+    modes = []
+    for numbers in product(*map(range, dims)):
+        sector = 0
+        if axes[0] == "twist":
+            nn = numbers[1]
+            sector = nn % 2 if axes[1] == "free" else klein_parity(dims[1], nn)
+        angles = tuple(t[s][k] for t, s, k in zip(tables, (sector, 0, 0), numbers))
+        modes.append(LatticeMode(numbers, angles, _eig(zip(angles, res))))
     return ModeSpectrum(spec, tuple(modes))

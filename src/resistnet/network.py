@@ -128,13 +128,19 @@ def merged_conductances(net: Network) -> dict[tuple[int, int], float]:
     """Total conductance per unordered node pair, parallel edges added.
 
     Each pair's conductances are combined with exact float summation, so the
-    result does not depend on edge-list order.
+    result does not depend on edge-list order.  OutOfRangeError where a
+    pair's total passes the largest float.
     """
     groups: dict[tuple[int, int], list[float]] = {}
     for i, j, r in net.edges:
         key = (i, j) if i < j else (j, i)
         groups.setdefault(key, []).append(1.0 / _to_float(r))
-    return {key: math.fsum(vals) for key, vals in groups.items()}
+    try:
+        return {key: math.fsum(vals) for key, vals in groups.items()}
+    except OverflowError as err:
+        raise OutOfRangeError(
+            "conductance of parallel edges outside the float range"
+        ) from err
 
 
 def assemble_laplacian(net: Network) -> Laplacian:
@@ -142,7 +148,8 @@ def assemble_laplacian(net: Network) -> Laplacian:
 
     diag(i) holds the total conductance at node i and offdiag(i, j) holds
     -c_ij, so every row sums to zero exactly up to one float rounding of
-    the diagonal.
+    the diagonal.  OutOfRangeError where a node's total conductance passes
+    the largest float.
     """
     import numpy as np  # deferred: only the float graph route needs arrays
 
@@ -154,8 +161,11 @@ def assemble_laplacian(net: Network) -> Laplacian:
         mat[j, i] = -c
         rows[i].append(c)
         rows[j].append(c)
-    for i in range(n):
-        mat[i, i] = math.fsum(rows[i])
+    try:
+        for i in range(n):
+            mat[i, i] = math.fsum(rows[i])
+    except OverflowError as err:
+        raise OutOfRangeError(f"conductance at node {i} outside the float range") from err
     mat.setflags(write=False)
     return Laplacian(n=n, matrix=mat, components=connectivity_check(net)[0])
 

@@ -221,6 +221,20 @@ def test_exit_code_range_error(capsys):
             )
             assert code == 4
             assert report["error"]["type"] == "NodeIndexError"
+    # the node range comes before connectivity, in every mode
+    split = '{"nodes": 4, "edges": [[0,1,1],[2,3,1]]}'
+    for mode in ("float", "exact", "both"):
+        code, report = run_json(
+            capsys,
+            ["graph", "--inline", split, "--from", "0", "--to", "9",
+             "--mode", mode],
+        )
+        assert code == 4
+        assert report["error"] == {
+            "exit_code": 4,
+            "message": "node 9 outside 0..3",
+            "type": "NodeIndexError",
+        }
     # infinite-lattice resistances must be positive
     for args in (
         ["--delta", "1,1", "--r", "0"],
@@ -261,6 +275,13 @@ def test_exit_code_range_error(capsys):
         ["graph", "--inline", one_edge % "1e400", "--from", "0", "--to", "1",
          "--mode", "both"],
         ["graph", "--inline", one_edge % "1e-400", "--from", "0", "--to", "1"],
+        # each edge in range, but twenty conductances of 1e307 pass the
+        # largest float: merged as parallel edges, or on a star's diagonal
+        ["graph", "--inline", json.dumps({"nodes": 2, "edges": [[0, 1, 1e-307]] * 20}),
+         "--from", "0", "--to", "1"],
+        ["graph", "--inline",
+         json.dumps({"nodes": 21, "edges": [[0, k, 1e-307] for k in range(1, 21)]}),
+         "--from", "0", "--to", "1"],
     ):
         code, report = run_json(capsys, argv)
         assert code == 4

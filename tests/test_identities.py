@@ -280,6 +280,8 @@ print(code, "numpy" in sys.modules, "scipy" in sys.modules, {_RECORD_MACHINERY})
 """
 
 _LATTICE = ["lattice", "--bc", "klein", "--dims", "5x4", "--from", "0,0", "--to", "3,3"]
+_GRAPH_BAD_NODE = ["graph", "--inline", '{"nodes": 3, "edges": [[0, 1, 1], [1, 2, 1]]}',
+                   "--from", "0", "--to", "7"]
 
 
 @pytest.mark.parametrize(
@@ -294,9 +296,12 @@ _LATTICE = ["lattice", "--bc", "klein", "--dims", "5x4", "--from", "0,0", "--to"
         (_LATTICE + ["--r", "1e400"], 4),
         (["infinite", "--delta", "2,1", "--s", "1/3"], 0),
         (["infinite", "--delta", "1,1,0", "--t", "2"], 0),
+        (_GRAPH_BAD_NODE + ["--mode", "float"], 4),
+        (_GRAPH_BAD_NODE + ["--mode", "both"], 4),
     ],
     ids=["lattice-float", "lattice-exact", "lattice-both", "identity", "graph-exact",
-         "range-error", "infinite-2d", "infinite-3d"],
+         "range-error", "infinite-2d", "infinite-3d", "graph-float-bad-node",
+         "graph-both-bad-node"],
 )
 def test_cli_route_runs_without_numpy(argv, code):
     """These routes load none of numpy, scipy, dataclasses and inspect."""

@@ -1,5 +1,7 @@
 """Lattice generators, axis sums, and the closed-form resistances."""
 
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -109,6 +111,28 @@ def test_twisted_2x2_is_complete_graph():
     pairs = {(min(i, j), max(i, j)) for i, j, _ in net.edges}
     assert len(net.edges) == 6
     assert pairs == {(a, b) for a in range(4) for b in range(a + 1, 4)}
+
+
+def _pinning_specs():
+    return [
+        LatticeSpec(dims, (Fraction(2, 3), 0.7, 3)[: bc.ndim], bc)
+        for bc in BC
+        for dims in itertools.product(range(1, 7 if bc.ndim < 3 else 5), repeat=bc.ndim)
+    ]
+
+
+def test_generators_keep_their_bits():
+    """Edge lists and analytic modes of 256 specs, every wrap, pinned by digest."""
+    specs = _pinning_specs()
+    assert len(specs) == 256
+    edges = repr([make_lattice(s).edges for s in specs])
+    modes = repr([mode_spectrum(s).modes for s in specs])
+    assert hashlib.sha256(edges.encode()).hexdigest() == (
+        "69e1ecae407b904f004c5c95c1045b477738cff16ad4c7f5e73e8003b7f2b84d"
+    )
+    assert hashlib.sha256(modes.encode()).hexdigest() == (
+        "ae73331a43be07aedfe66bd512b7429e38e799ef60e2f08764557915ed26b1bc"
+    )
 
 
 def test_length1_twist_doubles_mirror_edges():

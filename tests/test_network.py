@@ -177,6 +177,13 @@ def test_node_conductance_outside_float_range_is_typed():
     parallel = build_network(2, [(0, 1, 1e-307)] * 20)
     with pytest.raises(OutOfRangeError):
         node_conductance(parallel, 0)
+    with pytest.raises(OutOfRangeError, match="parallel edges"):
+        assemble_laplacian(parallel)
+    # twenty single edges of 1e307 each, summed on the star's diagonal
+    star = build_network(21, [(0, k, 1e-307) for k in range(1, 21)])
+    with pytest.raises(OutOfRangeError, match="node 0"):
+        assemble_laplacian(star)
+    assert assemble_laplacian(build_network(2, [(0, 1, 1e-307)])).matrix[0, 0] == 1 / 1e-307
 
 
 def test_first_passage_rejects_a_resistance_outside_float_range():
