@@ -2,10 +2,12 @@
 
 The grounded Laplacian is scaled to a sparse integer matrix and reduced by
 fraction-free (Bareiss) elimination in minimum-degree order: each step
-touches only the entries its pivot changes, every intermediate is an exact
-integer minor, and the single final division yields the resistance in
-lowest terms.  Float resistances are rationalized exactly from their
-binary representation.
+touches only the entries its pivot changes, and every intermediate is an
+exact integer minor.  With the query node eliminated last, the last two
+pivots are the two determinants of Wu's cofactor formula, and their ratio
+is the resistance in lowest terms; the all-pairs table back-substitutes
+one triangle of the symmetric grounded inverse.  Float resistances are
+rationalized exactly from their binary representation.
 
 The bottom of the module pins the golden reference table: the named
 benchmark networks with their known exact resistances, solved and checked
@@ -17,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import (
     DisconnectedNetworkError,
@@ -56,13 +58,30 @@ def rationalize(value) -> Fraction:
     return Fraction(value)
 
 
-def rational_conductances(net: Network) -> dict[tuple[int, int], Fraction]:
-    """Merged conductance per unordered pair, exact."""
-    merged: dict[tuple[int, int], Fraction] = {}
+def _merged_conductances(net: Network) -> dict[tuple[int, int], tuple[int, int]]:
+    """Merged conductance per unordered pair, as (numerator, denominator).
+
+    A rationalized resistance is in lowest terms, so its reciprocal is the
+    same two integers swapped; parallel edges are added and reduced by
+    their gcd, so every merged pair is in lowest terms too.
+    """
+    merged: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j, r in net.edges:
         key = (i, j) if i < j else (j, i)
-        merged[key] = merged.get(key, Fraction(0)) + 1 / rationalize(r)
+        q = rationalize(r)
+        num, den = q.denominator, q.numerator
+        old = merged.get(key)
+        if old is not None:
+            num, den = old[0] * den + num * old[1], old[1] * den
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        merged[key] = (num, den)
     return merged
+
+
+def rational_conductances(net: Network) -> dict[tuple[int, int], Fraction]:
+    """Merged conductance per unordered pair, exact."""
+    return {key: Fraction(*c) for key, c in _merged_conductances(net).items()}
 
 
 def rational_laplacian(net: Network) -> list[list[Fraction]]:
@@ -88,13 +107,13 @@ def _integer_grounded_rows(
     """
     rows: dict[int, dict[int, int]] = {node: {} for node in nodes}
     touching = [
-        (i, j, c)
-        for (i, j), c in rational_conductances(net).items()
+        (i, j, num, den)
+        for (i, j), (num, den) in _merged_conductances(net).items()
         if i in rows or j in rows
     ]
-    scale = math.lcm(*(c.denominator for _, _, c in touching))
-    for i, j, c in touching:
-        weight = c.numerator * (scale // c.denominator)
+    scale = math.lcm(*(den for _, _, _, den in touching))
+    for i, j, num, den in touching:
+        weight = num * (scale // den)
         for a, b in ((i, j), (j, i)):
             row = rows.get(a)
             if row is not None:
@@ -107,34 +126,40 @@ def _integer_grounded_rows(
 _ZERO = (0, 0)  # an entry not stored: the value 0, current at every step
 
 
-def _fraction_free_solve(
-    rows: dict[int, dict[int, int]], rhs: dict[int, dict[int, int]]
-) -> tuple[dict[int, dict[int, int]], int]:
-    """Solve the symmetric system ``rows`` y = det * ``rhs`` in integers.
+def _eliminate(
+    rows: dict[int, dict[int, int]],
+    rhs: dict[int, dict[int, int]],
+    last: int | None = None,
+) -> Iterator[tuple[int, int, dict[int, int], dict[int, int]]]:
+    """Forward-eliminate the symmetric system ``rows`` y = ``rhs`` in integers.
 
     Sparse Bareiss elimination: after step t every stored entry is the
-    integer minor a^(t) on the first t pivots, and the pivot is a leading
-    principal minor, positive for a grounded Laplacian.  The pivot is the
-    alive row with the fewest entries (ties to the lowest node), and step t
+    integer minor a^(t) on the first t pivots, and the pivot d_t is a
+    leading principal minor, positive for a grounded Laplacian.  The pivot
+    is the alive row with the fewest entries (ties to the lowest node),
+    except that row ``last`` waits until every other row is gone.  Step t
     updates only the pivot's neighbours at its columns,
-    a^(t) = (p a^(t-1) - f g) / d_(t-1).  An entry the pivot does not touch
-    only gains the factor d_t / d_(t-1), so each entry keeps the step s at
-    which it was last set and is brought up to date on reading as
+    a^(t) = (d_t a^(t-1) - f g) / d_(t-1).  An entry the pivot does not
+    touch only gains the factor d_t / d_(t-1), so each entry keeps the step
+    s at which it was last set and is brought up to date on reading as
     a d_t // d_s, an exact division because both sides are minors.
-    Back-substitution runs over the stored pivot rows; det is the last
-    pivot, and y[node][column] is det times the rational solution.
+
+    Yields one ``(node, d_t, row, b)`` per step: the pivot row's entries
+    and right-hand side at the later nodes' columns, up to date at step
+    t - 1.  The last pivot is det(rows).  Nothing is kept once yielded.
     """
-    columns = {c for entries in rhs.values() for c in entries}
     mat = {i: {j: (a, 0) for j, a in row.items()} for i, row in rows.items()}
     vec = {i: {c: (b, 0) for c, b in rhs.get(i, {}).items()} for i in rows}
     pivots = [1]  # pivots[t] = d_t, the pivot of step t; d_0 = 1
-    done = []
-    heap = [(len(row), node) for node, row in mat.items()]
+    heap = [(len(row), node) for node, row in mat.items() if node != last]
     heapq.heapify(heap)
-    while heap:
-        size, k = heapq.heappop(heap)
-        if k not in mat or len(mat[k]) != size:
-            continue  # stale heap entry
+    while mat:
+        if heap:
+            size, k = heapq.heappop(heap)
+            if k not in mat or len(mat[k]) != size:
+                continue  # stale heap entry
+        else:
+            k = last  # every other row is gone
         prev, step = pivots[-1], len(pivots)
 
         def lift(entry):  # the entry's value after step - 1
@@ -155,22 +180,14 @@ def _fraction_free_solve(
                 row_i[j] = mat[j][i] = entry
             for c, g in bk.items():
                 vec_i[c] = ((p * lift(vec_i.get(c, _ZERO)) - f * g) // prev, step)
-            heapq.heappush(heap, (len(row_i), i))
+            if i != last:
+                heapq.heappush(heap, (len(row_i), i))
         pivots.append(p)
-        done.append((k, p, row, bk))
-
-    det = pivots[-1]
-    sol: dict[int, dict[int, int]] = {}
-    for k, p, row, bk in reversed(done):
-        sol[k] = {
-            c: (det * bk.get(c, 0) - sum(u * sol[j][c] for j, u in row.items())) // p
-            for c in columns
-        }
-    return sol, det
+        yield k, p, row, bk
 
 
-def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
-    """Ground beta, inject unit current at alpha, solve exactly."""
+def _query_component(net: Network, alpha: int, beta: int) -> list[int]:
+    """The nodes of the query's component other than beta, checked."""
     _check_nodes(net, alpha, beta)
     if alpha == beta:
         raise SameNodeError("resistance query needs two distinct nodes")
@@ -179,23 +196,41 @@ def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
         raise DisconnectedNetworkError(
             f"nodes {alpha} and {beta} lie in different components"
         )
+    return [k for k in range(net.n_nodes) if k != beta and labels[k] == labels[alpha]]
+
+
+def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
+    """Ground beta, inject unit current at alpha, solve exactly."""
     # The solve runs on the query's component; any other component keeps
     # potential 0, which satisfies its (currentless) equations.
-    active = [
-        k for k in range(net.n_nodes) if k != beta and labels[k] == labels[alpha]
-    ]
+    active = _query_component(net, alpha, beta)
     rows, scale = _integer_grounded_rows(net, active)
-    sol, det = _fraction_free_solve(rows, {alpha: {alpha: scale}})
+    steps = list(_eliminate(rows, {alpha: {alpha: scale}}))
+    # det times the potentials, back-substituted from the last pivot up
+    det = steps[-1][1]
+    y: dict[int, int] = {}
+    for k, p, row, bk in reversed(steps):
+        y[k] = (det * bk.get(alpha, 0) - sum(u * y[j] for j, u in row.items())) // p
 
     potentials = [Fraction(0)] * net.n_nodes
     for node in active:
-        potentials[node] = Fraction(sol[node][alpha], det)
+        potentials[node] = Fraction(y[node], det)
     return KirchhoffSystem(alpha=alpha, beta=beta, potentials=tuple(potentials))
 
 
 def solve_exact(net: Network, alpha: int, beta: int) -> Fraction:
-    """Exact two-point resistance in lowest terms."""
-    return solve_kirchhoff(net, alpha, beta).resistance
+    """Exact two-point resistance in lowest terms.
+
+    With beta grounded and alpha eliminated last, the last two pivots
+    d_(m-1) and d_m are the determinants of scale * L without and with
+    alpha's row and column, so R = scale d_(m-1) / d_m is Wu's cofactor
+    ratio |L^(alpha beta)| / |L^(beta)|.  No potential is computed.
+    """
+    rows, scale = _integer_grounded_rows(net, _query_component(net, alpha, beta))
+    minor = det = 1
+    for _, p, _, _ in _eliminate(rows, {}, last=alpha):
+        minor, det = det, p
+    return Fraction(scale * minor, det)
 
 
 def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
@@ -203,6 +238,9 @@ def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
 
     With G the inverse of the Laplacian grounded at node 0,
     R(a, b) = G[a][a] + G[b][b] - 2 G[a][b] (index 0 rows/columns read 0).
+    G is symmetric, so row k of det * G is back-substituted only at the
+    columns of the nodes eliminated up to k, and G[a][b] is read from
+    whichever of the two triangles holds it.
     """
     n_comp, _ = connectivity_check(net)
     if n_comp != 1:
@@ -211,10 +249,22 @@ def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
     if n == 1:
         return [[Fraction(0)]]
     rows, scale = _integer_grounded_rows(net, list(range(1, n)))
-    sol, det = _fraction_free_solve(rows, {k: {k: scale} for k in rows})
+    steps = list(_eliminate(rows, {k: {k: scale} for k in rows}))
+    det = steps[-1][1]
+    columns = [k for k, _, _, _ in steps]
+    sol: dict[int, dict[int, int]] = {}
+    for k, p, row, bk in reversed(steps):
+        # row k of det * G at the nodes eliminated up to and including k
+        sol[k] = {
+            c: (det * bk.get(c, 0) - sum(u * sol[j][c] for j, u in row.items())) // p
+            for c in columns
+        }
+        columns.pop()
 
     def green(a: int, b: int) -> int:
-        return sol[a][b] if a and b else 0
+        if not (a and b):
+            return 0
+        return sol[a][b] if b in sol[a] else sol[b][a]
 
     table = [[Fraction(0)] * n for _ in range(n)]
     for a in range(n):

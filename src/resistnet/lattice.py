@@ -554,7 +554,7 @@ def mode_spectrum(spec: LatticeSpec) -> ModeSpectrum:
     ``klein_parity`` on a periodic one.
     """
     axes, dims = _AXES[spec.bc], spec.dims
-    res = tuple(float(r) for r in spec.resistances)
+    res = tuple(_to_float(r) for r in spec.resistances)
     tables = [
         (_chain_angles(d),) if kind == "free" else (_sector_angles(d, 0), _sector_angles(d, 1))
         for kind, d in zip(axes, dims)

@@ -1,7 +1,9 @@
 """Exact rational oracle: golden values, exactness, and invariances."""
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,6 +29,7 @@ from resistnet.exact import (
     bridge_adjacent_formula,
     bridge_network,
     complete_network,
+    rational_conductances,
     square_grid_corner_formula,
 )
 from resistnet.lattice import BoundaryCondition, LatticeSpec, make_lattice
@@ -222,3 +225,86 @@ def test_reference_table_all_pass():
     assert len(results) == 11
     for res in results:
         assert res.passed, f"{res.case.name}: {res.computed} != {res.case.expected}"
+
+
+def oracle_corpus():
+    """Pair values on every wrap, then the tables of the lattices n <= 16.
+
+    Dims 2..8 in 1D, 2..5 in 2D and 2..3 in 3D; the resistances mix a
+    p/q, a binary float and an int.
+    """
+    values = []
+    for bc in BoundaryCondition:
+        ndim = bc.ndim
+        for dims in product(range(2, {1: 9, 2: 6, 3: 4}[ndim]), repeat=ndim):
+            spec = LatticeSpec(dims, (Fraction(2, 3), 0.7, 3)[:ndim], bc)
+            net = make_lattice(spec)
+            n = net.n_nodes
+            for k in range(n):
+                if (7 * k + 3) % n != k:
+                    values.append(solve_exact(net, k, (7 * k + 3) % n))
+            if n <= 16:
+                table = exact_resistance_matrix(net)
+                values += [table[a][b] for a in range(n) for b in range(a + 1, n)]
+    return values
+
+
+def test_oracle_answers_pinned():
+    # exact answers are unique, so any solver rewrite must keep these bytes
+    values = oracle_corpus()
+    assert len(values) == 4906
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "2fb180bf87a90d99ce40e55b3d488d9dce0189573cfaa44fc344c1d5b9e1037c"
+
+
+def reference_conductances(net):
+    """The merged conductances as a plain Fraction sum, edge by edge."""
+    merged = {}
+    for i, j, r in net.edges:
+        key = (i, j) if i < j else (j, i)
+        merged[key] = merged.get(key, Fraction(0)) + 1 / Fraction(r)
+    return merged
+
+
+def mixed_corpus():
+    """Small networks with int, p/q and float resistances, some mixed.
+
+    Random float resistances make the oracle's integers long, so those
+    networks stay at five nodes or fewer; the mixed ones take quarter-
+    integer floats, whose denominators are short.
+    """
+    rng = random.Random(139)
+    nets = [
+        build_network(2, [(0, 1, Fraction(3, 7))]),
+        build_network(2, [(0, 1, Fraction(3, 7)), (1, 0, 2), (0, 1, 0.25)]),
+    ]
+    for _ in range(6):
+        pq = random_connected_network(rng, max_nodes=9, rational=True)
+        nets.append(pq)
+        nets.append(build_network(pq.n_nodes, [(i, j, r.numerator) for i, j, r in pq.edges]))
+        nets.append(random_connected_network(rng, max_nodes=5))
+        mixed = [
+            (i, j, (r, r.denominator, float(r.numerator) / 4)[k % 3])
+            for k, (i, j, r) in enumerate(pq.edges)
+        ]
+        nets.append(build_network(pq.n_nodes, mixed))
+    return nets
+
+
+def test_pair_routes_and_table_agree():
+    for net in mixed_corpus():
+        table = exact_resistance_matrix(net)
+        for a in range(net.n_nodes):
+            for b in range(a + 1, net.n_nodes):
+                got = solve_exact(net, a, b)
+                assert isinstance(got, Fraction)
+                assert got == solve_exact(net, b, a)
+                assert got == solve_kirchhoff(net, a, b).resistance
+                assert got == table[a][b] == table[b][a]
+
+
+def test_conductance_merge_matches_fraction_sum():
+    for net in mixed_corpus():
+        merged = rational_conductances(net)
+        assert merged == reference_conductances(net)
+        assert all(type(c) is Fraction for c in merged.values())

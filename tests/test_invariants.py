@@ -1,0 +1,76 @@
+"""Invariants every two-point resistance obeys, checked exactly on the oracle.
+
+Rayleigh's monotonicity law and the rank-one (Sherman-Morrison) update of
+the all-pairs table under a change of one edge's conductance.  The
+examples are derandomized and no database is kept, so repeated runs draw
+the same ones.
+"""
+
+import os
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from resistnet import build_network, exact_resistance_matrix
+
+# A home that cannot be created keeps Hypothesis from writing .hypothesis/.
+set_hypothesis_home_dir(os.devnull)
+
+RESISTANCES = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+EXACT = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def networks(draw):
+    """Connected p/q multigraph: a random spanning tree plus chords."""
+    n = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, k - 1)), k, draw(RESISTANCES)) for k in range(1, n)]
+    node = st.integers(0, n - 1)
+    chords = st.tuples(node, node, RESISTANCES).filter(lambda e: e[0] != e[1])
+    return n, edges + draw(st.lists(chords, max_size=n))
+
+
+@EXACT
+@given(net=networks(), data=st.data())
+def test_rayleigh_monotonicity(net, data):
+    # raising one edge's resistance never lowers any two-point resistance
+    n, edges = net
+    e = data.draw(st.integers(0, len(edges) - 1))
+    factor = data.draw(st.builds(Fraction, st.integers(2, 9), st.integers(1, 2)))
+    i, j, r = edges[e]
+    raised = edges[:e] + [(i, j, r * factor)] + edges[e + 1:]
+    before = exact_resistance_matrix(build_network(n, edges))
+    after = exact_resistance_matrix(build_network(n, raised))
+    for a in range(n):
+        for b in range(a + 1, n):
+            assert after[a][b] >= before[a][b]
+
+
+@EXACT
+@given(net=networks(), data=st.data())
+def test_rank_one_update(net, data):
+    # edit the conductance between u and v by dc, a few times in a row:
+    # R'_ab = R_ab - dc w^2 / (1 + dc R_uv), w = (R_av + R_bu - R_au - R_bv) / 2
+    n, edges = net
+    table = exact_resistance_matrix(build_network(n, edges))
+    for _ in range(3):
+        if data.draw(st.booleans()):  # a new edge, in parallel or not
+            u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            r = data.draw(RESISTANCES)
+            edges = edges + [(u, v, r)]
+            dc = 1 / r
+        else:  # rescale an edge already there
+            e = data.draw(st.integers(0, len(edges) - 1))
+            u, v, r = edges[e]
+            r_new = r * data.draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+            edges = edges[:e] + [(u, v, r_new)] + edges[e + 1:]
+            dc = 1 / r_new - 1 / r
+        new = exact_resistance_matrix(build_network(n, edges))
+        denom = 1 + dc * table[u][v]
+        for a in range(n):
+            for b in range(n):
+                w = (table[a][v] + table[b][u] - table[a][u] - table[b][v]) / 2
+                assert new[a][b] == table[a][b] - dc * w * w / denom
+        table = new

@@ -12,6 +12,7 @@ import pytest
 from resistnet import (
     NodeIndexError,
     NonPositiveResistanceError,
+    OutOfRangeError,
     ParseError,
     assemble_laplacian,
     decompose,
@@ -67,6 +68,16 @@ def test_spec_validation():
     for bad in (0, -1, Fraction(-1, 2), math.nan, math.inf, -math.inf):
         with pytest.raises(NonPositiveResistanceError):
             LatticeSpec(dims=(5, 4), resistances=(1, bad), bc=BC.FREE_2D)
+
+
+def test_resistances_outside_float_range_are_typed():
+    # a valid spec whose resistance no float route can take
+    for r in (Fraction(1, 10**400), 10**400):
+        spec = LatticeSpec(dims=(3,), resistances=(r,), bc=BC.FREE_1D)
+        with pytest.raises(OutOfRangeError):
+            mode_spectrum(spec)
+        with pytest.raises(OutOfRangeError):
+            resistance(spec, (0,), (2,))
 
 
 def test_node_indexing_round_trip():
