@@ -5,9 +5,10 @@ fraction-free (Bareiss) elimination in minimum-degree order: each step
 touches only the entries its pivot changes, and every intermediate is an
 exact integer minor.  With the query node eliminated last, the last two
 pivots are the two determinants of Wu's cofactor formula, and their ratio
-is the resistance in lowest terms; the all-pairs table back-substitutes
-one triangle of the symmetric grounded inverse.  Float resistances are
-rationalized exactly from their binary representation.
+is the resistance in lowest terms.  The all-pairs table carries no
+right-hand side: it rebuilds the symmetric grounded inverse from the pivot
+rows alone, by Takahashi's recurrence.  Float resistances are rationalized
+exactly from their binary representation.
 
 The bottom of the module pins the golden reference table: the named
 benchmark networks with their known exact resistances, solved and checked
@@ -61,15 +62,21 @@ def rationalize(value) -> Fraction:
 def _merged_conductances(net: Network) -> dict[tuple[int, int], tuple[int, int]]:
     """Merged conductance per unordered pair, as (numerator, denominator).
 
-    A rationalized resistance is in lowest terms, so its reciprocal is the
-    same two integers swapped; parallel edges are added and reduced by
-    their gcd, so every merged pair is in lowest terms too.
+    A resistance in lowest terms has for reciprocal the same two integers
+    swapped: an int r gives (1, r) and a Fraction p/q gives (q, p), with no
+    Fraction built; anything else is rationalized first.  Parallel edges
+    are added and reduced by their gcd, so every merged pair is in lowest
+    terms too.
     """
     merged: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j, r in net.edges:
         key = (i, j) if i < j else (j, i)
-        q = rationalize(r)
-        num, den = q.denominator, q.numerator
+        kind = type(r)
+        if kind is int:
+            num, den = 1, r
+        else:
+            q = r if kind is Fraction else rationalize(r)
+            num, den = q.denominator, q.numerator
         old = merged.get(key)
         if old is not None:
             num, den = old[0] * den + num * old[1], old[1] * den
@@ -123,67 +130,78 @@ def _integer_grounded_rows(
     return rows, scale
 
 
-_ZERO = (0, 0)  # an entry not stored: the value 0, current at every step
-
-
 def _eliminate(
     rows: dict[int, dict[int, int]],
-    rhs: dict[int, dict[int, int]],
+    rhs: dict[int, int],
     last: int | None = None,
-) -> Iterator[tuple[int, int, dict[int, int], dict[int, int]]]:
+) -> Iterator[tuple[int, int, list[tuple[int, int]], int]]:
     """Forward-eliminate the symmetric system ``rows`` y = ``rhs`` in integers.
 
     Sparse Bareiss elimination: after step t every stored entry is the
     integer minor a^(t) on the first t pivots, and the pivot d_t is a
     leading principal minor, positive for a grounded Laplacian.  The pivot
-    is the alive row with the fewest entries (ties to the lowest node),
-    except that row ``last`` waits until every other row is gone.  Step t
-    updates only the pivot's neighbours at its columns,
-    a^(t) = (d_t a^(t-1) - f g) / d_(t-1).  An entry the pivot does not
-    touch only gains the factor d_t / d_(t-1), so each entry keeps the step
-    s at which it was last set and is brought up to date on reading as
-    a d_t // d_s, an exact division because both sides are minors.
+    is the alive row with the fewest entries; among those, the row updated
+    last goes first, as in the degree lists of multiple minimum degree
+    (Liu 1985) and AMD, and rows never updated follow by lowest node.  Row
+    ``last`` waits until every other row is gone.  Step t updates only the
+    pivot's neighbours at its columns, a^(t) = (d_t a^(t-1) - f g) / d_(t-1).
+    An entry the pivot does not touch only gains the factor d_t / d_(t-1),
+    so each entry keeps the step s at which it was last set and is brought
+    up to date on reading as a d_(t-1) // d_s, an exact division because
+    both sides are minors.  ``rhs`` is one column, ``{node: value}``.
 
-    Yields one ``(node, d_t, row, b)`` per step: the pivot row's entries
-    and right-hand side at the later nodes' columns, up to date at step
-    t - 1.  The last pivot is det(rows).  Nothing is kept once yielded.
+    Yields one ``(node, d_t, row, b)`` per step: the pivot row's
+    ``(column, entry)`` pairs at the later nodes and its right-hand side,
+    up to date at step t - 1.  The last pivot is det(rows).  Nothing is
+    kept once yielded.
     """
     mat = {i: {j: (a, 0) for j, a in row.items()} for i, row in rows.items()}
-    vec = {i: {c: (b, 0) for c, b in rhs.get(i, {}).items()} for i in rows}
+    vec = {i: (b, 0) for i, b in rhs.items()}
     pivots = [1]  # pivots[t] = d_t, the pivot of step t; d_0 = 1
-    heap = [(len(row), node) for node, row in mat.items() if node != last]
+    # heap key (size, -stamp, node): the stamp counts pushes
+    heap = [(len(row), 0, node) for node, row in mat.items() if node != last]
     heapq.heapify(heap)
+    stamp = 0
     while mat:
         if heap:
-            size, k = heapq.heappop(heap)
+            size, _, k = heapq.heappop(heap)
             if k not in mat or len(mat[k]) != size:
                 continue  # stale heap entry
         else:
             k = last  # every other row is gone
-        prev, step = pivots[-1], len(pivots)
-
-        def lift(entry):  # the entry's value after step - 1
-            a, s = entry
-            return a if s == step - 1 else a * prev // pivots[s]
-
-        row = {j: lift(e) for j, e in mat.pop(k).items()}
-        bk = {c: lift(e) for c, e in vec.pop(k).items()}
-        p = row.pop(k)
+        step = len(pivots)
+        prev, stale = pivots[-1], step - 1
+        zero = (0, stale)  # an entry not stored, up to date at step - 1
+        row = mat.pop(k)
+        p, s = row.pop(k)
+        if s != stale:
+            p = p * prev // pivots[s]
         if p == 0:
             raise SingularSystemError(f"zero pivot at node {k}")
-        nbrs = list(row.items())
+        nbrs = [
+            (j, a if s == stale else a * prev // pivots[s]) for j, (a, s) in row.items()
+        ]
+        b, s = vec.pop(k, zero)
+        if s != stale:
+            b = b * prev // pivots[s]
         for n, (i, f) in enumerate(nbrs):
-            row_i, vec_i = mat[i], vec[i]
+            row_i = mat[i]
             del row_i[k]
             for j, g in nbrs[n:]:
-                entry = ((p * lift(row_i.get(j, _ZERO)) - f * g) // prev, step)
-                row_i[j] = mat[j][i] = entry
-            for c, g in bk.items():
-                vec_i[c] = ((p * lift(vec_i.get(c, _ZERO)) - f * g) // prev, step)
+                a, s = row_i.get(j, zero)
+                if s != stale:
+                    a = a * prev // pivots[s]
+                row_i[j] = mat[j][i] = ((p * a - f * g) // prev, step)
+            if b:
+                a, s = vec.get(i, zero)
+                if s != stale:
+                    a = a * prev // pivots[s]
+                vec[i] = ((p * a - f * b) // prev, step)
             if i != last:
-                heapq.heappush(heap, (len(row_i), i))
+                stamp += 1
+                heapq.heappush(heap, (len(row_i), -stamp, i))
         pivots.append(p)
-        yield k, p, row, bk
+        yield k, p, nbrs, b
 
 
 def _query_component(net: Network, alpha: int, beta: int) -> list[int]:
@@ -205,12 +223,12 @@ def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
     # potential 0, which satisfies its (currentless) equations.
     active = _query_component(net, alpha, beta)
     rows, scale = _integer_grounded_rows(net, active)
-    steps = list(_eliminate(rows, {alpha: {alpha: scale}}))
+    steps = list(_eliminate(rows, {alpha: scale}))
     # det times the potentials, back-substituted from the last pivot up
     det = steps[-1][1]
     y: dict[int, int] = {}
-    for k, p, row, bk in reversed(steps):
-        y[k] = (det * bk.get(alpha, 0) - sum(u * y[j] for j, u in row.items())) // p
+    for k, p, row, b in reversed(steps):
+        y[k] = (det * b - sum(u * y[j] for j, u in row)) // p
 
     potentials = [Fraction(0)] * net.n_nodes
     for node in active:
@@ -238,9 +256,15 @@ def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
 
     With G the inverse of the Laplacian grounded at node 0,
     R(a, b) = G[a][a] + G[b][b] - 2 G[a][b] (index 0 rows/columns read 0).
-    G is symmetric, so row k of det * G is back-substituted only at the
-    columns of the nodes eliminated up to k, and G[a][b] is read from
-    whichever of the two triangles holds it.
+    Y = det * G is rebuilt from the pivot rows alone by Takahashi's
+    recurrence (Takahashi, Fagan & Chin 1973), bottom-up: row k at each
+    node c eliminated after k, then at k itself,
+
+        y_kc = -(sum_j a_kj y_jc) / d_k
+        y_kk = (det * scale * d_(k-1) - sum_j a_kj y_jk) / d_k,
+
+    the sums running over the pivot row's later nodes j, every one of
+    whose entries is already known.  Each y_kc is stored in both triangles.
     """
     n_comp, _ = connectivity_check(net)
     if n_comp != 1:
@@ -249,29 +273,27 @@ def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
     if n == 1:
         return [[Fraction(0)]]
     rows, scale = _integer_grounded_rows(net, list(range(1, n)))
-    steps = list(_eliminate(rows, {k: {k: scale} for k in rows}))
+    steps = list(_eliminate(rows, {}))
     det = steps[-1][1]
-    columns = [k for k, _, _, _ in steps]
-    sol: dict[int, dict[int, int]] = {}
-    for k, p, row, bk in reversed(steps):
-        # row k of det * G at the nodes eliminated up to and including k
-        sol[k] = {
-            c: (det * bk.get(c, 0) - sum(u * sol[j][c] for j, u in row.items())) // p
-            for c in columns
-        }
-        columns.pop()
+    y = [[0] * n for _ in range(n)]  # row and column 0, the ground, stay 0
+    later: list[int] = []
+    for t in range(len(steps) - 1, -1, -1):
+        k, p, row, _ = steps[t]
+        y_k = y[k]
+        for c in later:
+            y_c = y[c]
+            y_k[c] = y_c[k] = -sum(u * y_c[j] for j, u in row) // p
+        minor = steps[t - 1][1] if t else 1
+        y_k[k] = (det * scale * minor - sum(u * y_k[j] for j, u in row)) // p
+        later.append(k)
 
-    def green(a: int, b: int) -> int:
-        if not (a and b):
-            return 0
-        return sol[a][b] if b in sol[a] else sol[b][a]
-
-    table = [[Fraction(0)] * n for _ in range(n)]
+    zero = Fraction(0)
+    table = [[zero] * n for _ in range(n)]
     for a in range(n):
+        y_a, table_a = y[a], table[a]
         for b in range(a + 1, n):
-            value = Fraction(green(a, a) + green(b, b) - 2 * green(a, b), det)
-            table[a][b] = value
-            table[b][a] = value
+            value = Fraction(y_a[a] + y[b][b] - 2 * y_a[b], det)
+            table_a[b] = table[b][a] = value
     return table
 
 

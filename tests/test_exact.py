@@ -288,19 +288,58 @@ def mixed_corpus():
             for k, (i, j, r) in enumerate(pq.edges)
         ]
         nets.append(build_network(pq.n_nodes, mixed))
+    # the shapes of the benchmark's tables: a 6x6 Klein bottle, 40 p/q nodes
+    nets.append(lattice_net(BoundaryCondition.KLEIN, (6, 6), (2, 3))[0])
+    nets.append(
+        random_connected_network(rng, max_nodes=40, min_nodes=40, rational=True, extra_edges=20)
+    )
     return nets
+
+
+def query_pairs(n):
+    """Every pair of a small network; n strided pairs of a larger one."""
+    if n <= 16:
+        return [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return [(a, (7 * a + 3) % n) for a in range(n) if (7 * a + 3) % n != a]
 
 
 def test_pair_routes_and_table_agree():
     for net in mixed_corpus():
         table = exact_resistance_matrix(net)
-        for a in range(net.n_nodes):
-            for b in range(a + 1, net.n_nodes):
-                got = solve_exact(net, a, b)
-                assert isinstance(got, Fraction)
-                assert got == solve_exact(net, b, a)
-                assert got == solve_kirchhoff(net, a, b).resistance
-                assert got == table[a][b] == table[b][a]
+        for a, b in query_pairs(net.n_nodes):
+            got = solve_exact(net, a, b)
+            assert isinstance(got, Fraction)
+            assert got == solve_exact(net, b, a)
+            assert got == solve_kirchhoff(net, a, b).resistance
+            assert got == table[a][b] == table[b][a]
+
+
+def relabelled(net, rng):
+    """The same network under a random node permutation and edge order."""
+    perm = list(range(net.n_nodes))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[j], r) for i, j, r in net.edges]
+    rng.shuffle(edges)
+    return perm, build_network(net.n_nodes, edges)
+
+
+def test_answers_do_not_depend_on_node_labels():
+    # minimum-degree ties go by update order and label; the answers may not
+    rng = random.Random(151)
+    lattices = [
+        lattice_net(bc, {1: (9,), 2: (4, 5), 3: (3, 3, 2)}[bc.ndim],
+                    (Fraction(2, 3), 0.7, 3)[:bc.ndim])[0]
+        for bc in BoundaryCondition
+    ]
+    for net in mixed_corpus() + lattices:
+        perm, other = relabelled(net, rng)
+        n = net.n_nodes
+        table, table_p = exact_resistance_matrix(net), exact_resistance_matrix(other)
+        for a in range(n):
+            for b in range(n):
+                assert table_p[perm[a]][perm[b]] == table[a][b]
+        for a, b in query_pairs(n):
+            assert solve_exact(other, perm[a], perm[b]) == solve_exact(net, a, b)
 
 
 def test_conductance_merge_matches_fraction_sum():

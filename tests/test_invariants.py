@@ -1,9 +1,10 @@
 """Invariants every two-point resistance obeys, checked exactly on the oracle.
 
-Rayleigh's monotonicity law and the rank-one (Sherman-Morrison) update of
-the all-pairs table under a change of one edge's conductance.  The
-examples are derandomized and no database is kept, so repeated runs draw
-the same ones.
+The resistance is a metric; series and parallel resistors reduce to one;
+Rayleigh's monotonicity law holds; and the all-pairs table follows the
+rank-one (Sherman-Morrison) update under a change of one edge's
+conductance.  The examples are derandomized and no database is kept, so
+repeated runs draw the same ones.
 """
 
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from resistnet import build_network, exact_resistance_matrix
+from resistnet import build_network, exact_resistance_matrix, solve_exact
 
 # A home that cannot be created keeps Hypothesis from writing .hypothesis/.
 set_hypothesis_home_dir(os.devnull)
@@ -30,6 +31,59 @@ def networks(draw):
     node = st.integers(0, n - 1)
     chords = st.tuples(node, node, RESISTANCES).filter(lambda e: e[0] != e[1])
     return n, edges + draw(st.lists(chords, max_size=n))
+
+
+# a share strictly between 0 and 1
+SHARES = st.builds(Fraction, st.integers(1, 8), st.just(9))
+
+
+def table_of(n, edges):
+    return exact_resistance_matrix(build_network(n, edges))
+
+
+@EXACT
+@given(net=networks(), data=st.data())
+def test_resistance_is_a_metric(net, data):
+    # symmetric, zero only on the diagonal, and R_ac <= R_ab + R_bc
+    n, edges = net
+    table = table_of(n, edges)
+    for a in range(n):
+        assert table[a][a] == 0
+        for b in range(n):
+            assert table[a][b] == table[b][a]
+            assert a == b or table[a][b] > 0
+            for c in range(n):
+                assert table[a][c] <= table[a][b] + table[b][c]
+    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    assert solve_exact(build_network(n, edges), a, b) == table[a][b]
+
+
+@EXACT
+@given(net=networks(), data=st.data())
+def test_series_reduction(net, data):
+    # an edge r split into r t and r (1 - t) through a new node changes
+    # no resistance between the old nodes
+    n, edges = net
+    e = data.draw(st.integers(0, len(edges) - 1))
+    t = data.draw(SHARES)
+    i, j, r = edges[e]
+    split = edges[:e] + [(i, n, r * t), (n, j, r * (1 - t))] + edges[e + 1:]
+    before, after = table_of(n, edges), table_of(n + 1, split)
+    for a in range(n):
+        assert after[a][:n] == before[a]
+
+
+@EXACT
+@given(net=networks(), data=st.data())
+def test_parallel_reduction(net, data):
+    # an edge r split into r / t and r / (1 - t) in parallel, whose
+    # conductances add up to 1 / r, changes no resistance
+    n, edges = net
+    e = data.draw(st.integers(0, len(edges) - 1))
+    t = data.draw(SHARES)
+    i, j, r = edges[e]
+    split = edges[:e] + [(i, j, r / t), (j, i, r / (1 - t))] + edges[e + 1:]
+    assert table_of(n, split) == table_of(n, edges)
 
 
 @EXACT
