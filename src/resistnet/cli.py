@@ -238,39 +238,48 @@ def _axis_resistances(args) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(parse_rational_option(raw) for raw in (args.r, args.s, args.t))
 
 
+def _answer(mode, report, float_method, float_route, exact_route) -> tuple[dict, int]:
+    """Fill ``report`` from the float route, the exact oracle or both.
+
+    Each route is a zero-argument solve.  ``both`` reads the tolerance
+    before any solve, runs the float route first, and exits 5 when the two
+    values disagree by golden's rule.
+    """
+    tol = golden.comparison_tolerance() if mode == "both" else None
+    methods = []
+    if mode != "exact":
+        report["value_float"] = float_route()
+        methods.append(float_method)
+    if mode != "float":
+        value = exact_route()
+        report["value_exact"] = _exact_text(value)
+        exact_f = network._to_float(value)
+        report.setdefault("value_float", exact_f)  # exact mode: the oracle's float
+        methods.append("oracle")
+    report["method"] = "+".join(methods)
+    if mode != "both":
+        return report, EXIT_OK
+    value_f = report["value_float"]
+    report["discrepancy"] = abs(value_f - exact_f)
+    return report, EXIT_OK if golden._close(value_f, exact_f, tol) else EXIT_NUMERIC
+
+
 def _run_graph(args) -> tuple[dict, int]:
-    exact_mode = args.mode in ("exact", "both")
-    net = load_network(args.input, args.inline, exact_mode)
+    net = load_network(args.input, args.inline, args.mode != "float")
     alpha, beta = args.src, args.dst
     network._check_nodes(net, alpha, beta)  # before any solve, in every mode
     report: dict = {
         "pair": [alpha, beta],
         "spec": {"nodes": net.n_nodes, "edges": len(net.edges)},
     }
-    code = EXIT_OK
-    if args.mode == "float":
+
+    def spectral_sum():
         spectrum = spectral.decompose(network.assemble_laplacian(net))
-        report["method"] = "spectral"
-        report["value_float"] = spectral.two_point_resistance(spectrum, alpha, beta)
-    elif args.mode == "exact":
-        value = exact.solve_exact(net, alpha, beta)
-        report["method"] = "oracle"
-        report["value_exact"] = _exact_text(value)
-        report["value_float"] = network._to_float(value)
-    else:
-        tol = golden.comparison_tolerance()
-        spectrum = spectral.decompose(network.assemble_laplacian(net))
-        value_f = spectral.two_point_resistance(spectrum, alpha, beta)
-        value_x = exact.solve_exact(net, alpha, beta)
-        exact_f = network._to_float(value_x)
-        discrepancy = abs(value_f - exact_f)
-        report["method"] = "spectral+oracle"
-        report["value_float"] = value_f
-        report["value_exact"] = _exact_text(value_x)
-        report["discrepancy"] = discrepancy
-        if discrepancy > tol * max(1.0, abs(exact_f)):
-            code = EXIT_NUMERIC
-    return report, code
+        return spectral.two_point_resistance(spectrum, alpha, beta)
+
+    return _answer(
+        args.mode, report, "spectral", spectral_sum, lambda: exact.solve_exact(net, alpha, beta)
+    )
 
 
 def _run_lattice(args) -> tuple[dict, int]:
@@ -292,68 +301,50 @@ def _run_lattice(args) -> tuple[dict, int]:
             "resistances": [str(r) for r in res],
         },
     }
-    code = EXIT_OK
-    if args.mode == "float":
-        report["method"] = "closed-form"
-        report["value_float"] = lattice.resistance(spec, c1, c2)
-    elif args.mode == "exact":
-        net = lattice.make_lattice(spec)
-        value = exact.solve_exact(net, spec.node_index(c1), spec.node_index(c2))
-        report["method"] = "oracle"
-        report["value_exact"] = _exact_text(value)
-        report["value_float"] = network._to_float(value)
-    else:
-        tol = golden.comparison_tolerance()
-        value_f = lattice.resistance(spec, c1, c2)
-        net = lattice.make_lattice(spec)
-        value_x = exact.solve_exact(net, spec.node_index(c1), spec.node_index(c2))
-        exact_f = network._to_float(value_x)
-        discrepancy = abs(value_f - exact_f)
-        report["method"] = "closed-form+oracle"
-        report["value_float"] = value_f
-        report["value_exact"] = _exact_text(value_x)
-        report["discrepancy"] = discrepancy
-        if discrepancy > tol * max(1.0, abs(exact_f)):
-            code = EXIT_NUMERIC
-    return report, code
+
+    def oracle():
+        alpha, beta = spec.node_index(c1), spec.node_index(c2)  # before building
+        return exact.solve_exact(lattice.make_lattice(spec), alpha, beta)
+
+    return _answer(
+        args.mode, report, "closed-form", lambda: lattice.resistance(spec, c1, c2), oracle
+    )
+
+
+# --which -> (IdentityQuery variant, closed form, direct sum) for the damped
+# lattice sums; a product identity's entry is its (lhs, rhs) function
+_IDENTITIES = {
+    "i1": (1, identities.i1_closed, identities.i1_direct),
+    "i2": (2, identities.i2_closed, identities.i2_direct),
+    "product-free": identities.product_identity_free,
+    "product-periodic": identities.product_identity_periodic,
+}
 
 
 def _run_identity(args) -> tuple[dict, int]:
-    which = args.which
-    report: dict = {"method": "identity", "which": which, "N": args.n_terms}
-    if which in ("i1", "i2"):
-        variant = 1 if which == "i1" else 2
-        query = identities.IdentityQuery(
-            n_terms=args.n_terms,
-            offset=args.ell,
-            damping=args.lam,
-            variant=variant,
-        )
-        closed = (
-            identities.i1_closed(query) if variant == 1 else identities.i2_closed(query)
-        )
-        direct = (
-            identities.i1_direct(query) if variant == 1 else identities.i2_direct(query)
-        )
-        report["offset"] = args.ell
-        report["damping"] = args.lam
-        report["closed"] = closed
-        report["direct"] = direct
-        difference = (
-            0.0 if math.isinf(closed) and math.isinf(direct) else closed - direct
-        )
-        report["difference"] = difference
-    else:
-        fn = (
-            identities.product_identity_free
-            if which == "product-free"
-            else identities.product_identity_periodic
-        )
-        lhs, rhs = fn(args.n_terms, args.lam)
-        report["damping"] = args.lam
-        report["lhs"] = lhs
-        report["rhs"] = rhs
-        report["difference"] = lhs - rhs
+    report: dict = {
+        "method": "identity",
+        "which": args.which,
+        "N": args.n_terms,
+        "damping": args.lam,
+    }
+    entry = _IDENTITIES[args.which]
+    if callable(entry):
+        lhs, rhs = entry(args.n_terms, args.lam)
+        report.update(lhs=lhs, rhs=rhs, difference=lhs - rhs)
+        return report, EXIT_OK
+    variant, closed_form, direct_sum = entry
+    query = identities.IdentityQuery(
+        n_terms=args.n_terms, offset=args.ell, damping=args.lam, variant=variant
+    )
+    closed, direct = closed_form(query), direct_sum(query)
+    both_infinite = math.isinf(closed) and math.isinf(direct)
+    report.update(
+        offset=args.ell,
+        closed=closed,
+        direct=direct,
+        difference=0.0 if both_infinite else closed - direct,
+    )
     return report, EXIT_OK
 
 
@@ -415,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--from", dest="src", type=int, required=True)
     graph.add_argument("--to", dest="dst", type=int, required=True)
     graph.add_argument("--mode", choices=("float", "exact", "both"), default="float")
-    graph.add_argument("--format", choices=("json", "csv", "text"), default="json")
     graph.set_defaults(run=_run_graph)
 
     lat = sub.add_parser("lattice", help="closed-form lattice resistance")
@@ -431,19 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("--from", dest="src", required=True, help="e.g. 0,0")
     lat.add_argument("--to", dest="dst", required=True, help="e.g. 3,3")
     lat.add_argument("--mode", choices=("float", "exact", "both"), default="float")
-    lat.add_argument("--format", choices=("json", "csv", "text"), default="json")
     lat.set_defaults(run=_run_lattice)
 
     ident = sub.add_parser("identity", help="lattice-sum and product identities")
     ident.add_argument(
         "--which",
         required=True,
-        choices=("i1", "i2", "product-free", "product-periodic"),
+        choices=tuple(_IDENTITIES),
     )
     ident.add_argument("--N", dest="n_terms", type=int, required=True)
     ident.add_argument("--ell", type=int, default=0)
     ident.add_argument("--lambda", dest="lam", type=float, required=True)
-    ident.add_argument("--format", choices=("json", "csv", "text"), default="json")
     ident.set_defaults(run=_run_identity)
 
     inf = sub.add_parser("infinite", help="infinite-lattice integral")
@@ -451,13 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--r", default="1")
     inf.add_argument("--s", default="1")
     inf.add_argument("--t", default="1")
-    inf.add_argument("--format", choices=("json", "csv", "text"), default="json")
     inf.set_defaults(run=_run_infinite)
 
     rep = sub.add_parser("reproduce", help="run the golden reference table")
-    rep.add_argument("--format", choices=("json", "csv", "text"), default="json")
     rep.set_defaults(run=_run_reproduce)
 
+    for command in sub.choices.values():  # last, so --help lists it last
+        command.add_argument("--format", choices=("json", "csv", "text"), default="json")
     return parser
 
 
@@ -478,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
                 "exit_code": err.exit_code,
             }
         }
-        sys.stdout.write(render_report(error_report, getattr(args, "format", "json")))
+        sys.stdout.write(render_report(error_report, args.format))
         return err.exit_code
     sys.stdout.write(render_report(report, args.format))
     return code

@@ -1,14 +1,17 @@
 """CLI behavior: reports, formats, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from resistnet import assemble_laplacian, build_network
+from resistnet import assemble_laplacian, build_network, lattice
 from resistnet.cli import (
+    _BC_BY_WORD,
     main,
     network_to_json,
     parse_network_json,
@@ -344,6 +347,145 @@ def test_tolerance_env_var_zero_is_exact_equality(capsys, monkeypatch):
     code, report = run_json(capsys, ["lattice", "--bc", "free", "--dims", "5x4",
                                      "--from", "0,0", "--to", "1,0", "--mode", "both"])
     assert (code, report["discrepancy"]) == (0, 0.0)
+
+
+MODES = ("float", "exact", "both")
+_SQUARE = '{"nodes": 4, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]}'
+_SPLIT = '{"nodes": 4, "edges": [[0, 1, 1], [2, 3, 1]]}'
+
+
+def _graph(net, alpha, beta):
+    return ["graph", "--inline", net, "--from", str(alpha), "--to", str(beta)]
+
+
+def _free_4x4(c1, c2):
+    return ["lattice", "--bc", "free", "--dims", "4x4", "--from", c1, "--to", c2]
+
+
+_DISCONNECTED = "DisconnectedNetworkError"
+# query -> (RESISTNET_TOL, argv, one cell per mode in MODES).  A cell is the
+# exit code and then the error class, or for a report the value_float it
+# pins (None: any value).
+_CONTRACT = {
+    "graph-valid": (None, _graph(_SQUARE, 0, 2), ((0, None),) * 3),
+    "lattice-valid": (None, _free_4x4("0,0", "3,3"), ((0, None),) * 3),
+    "graph-same-node": (
+        None, _graph(_SQUARE, 1, 1), ((0, 0.0), (4, "SameNodeError"), (4, "SameNodeError"))
+    ),
+    "lattice-same-node": (
+        None, _free_4x4("1,2", "1,2"), ((0, 0.0), (4, "SameNodeError"), (4, "SameNodeError"))
+    ),
+    "split-one-component": (
+        None, _graph(_SPLIT, 0, 1), ((3, _DISCONNECTED), (0, None), (3, _DISCONNECTED))
+    ),
+    "split-across": (None, _graph(_SPLIT, 0, 3), ((3, _DISCONNECTED),) * 3),
+    "split-same-node": (
+        None, _graph(_SPLIT, 2, 2), ((3, _DISCONNECTED), (4, "SameNodeError"), (3, _DISCONNECTED))
+    ),
+    "graph-bad-node": (None, _graph(_SPLIT, 0, 9), ((4, "NodeIndexError"),) * 3),
+    "lattice-bad-coordinate": (None, _free_4x4("0,0", "9,0"), ((4, "NodeIndexError"),) * 3),
+    "bad-tolerance": (
+        "abc", _graph(_SPLIT, 0, 1), ((3, _DISCONNECTED), (0, None), (2, "ParseError"))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "query, mode", list(product(_CONTRACT, MODES)), ids="-".join
+)
+def test_mode_contract(capsys, monkeypatch, query, mode):
+    """Today's answer per query and mode; which rows should agree across
+    modes is an open decision, so this pins what the CLI does now."""
+    tol, argv, cells = _CONTRACT[query]
+    if tol is None:
+        monkeypatch.delenv("RESISTNET_TOL", raising=False)
+    else:
+        monkeypatch.setenv("RESISTNET_TOL", tol)
+    want_code, want = cells[MODES.index(mode)]
+    code, report = run_json(capsys, argv + ["--mode", mode])
+    assert code == want_code
+    if isinstance(want, str):
+        assert report["error"]["type"] == want
+    else:
+        assert "error" not in report
+        assert want is None or report["value_float"] == want
+
+
+def test_bad_lattice_pair_never_builds_the_lattice(capsys, monkeypatch):
+    def unbuilt(spec):
+        raise AssertionError("make_lattice ran for a pair outside the lattice")
+
+    monkeypatch.setattr(lattice, "make_lattice", unbuilt)
+    argv = ["lattice", "--bc", "free", "--dims", "2000x2000", "--from", "0,0"]
+    for to in ("5000,0", "0,-1"):
+        for mode in ("exact", "both"):
+            code, report = run_json(capsys, argv + ["--to", to, "--mode", mode])
+            assert (code, report["error"]["type"]) == (4, "NodeIndexError")
+    code, report = run_json(capsys, argv + ["--to", "5000,0", "--mode", "exact"])
+    assert report["error"]["message"] == "coordinate (5000, 0) outside (2000, 2000)"
+
+
+def cli_digest_corpus():
+    """(RESISTNET_TOL, argv) requests whose reports carry no eigh digit.
+
+    ``lattice`` in every mode on all eight wraps, with same-node and
+    out-of-range pairs; ``graph --mode exact``; and the ``graph`` error
+    reports of every mode.  Graph float and both values are left out:
+    their last digits follow the BLAS thread count.
+    """
+    requests = []
+    dims = {1: "5", 2: "4x3", 3: "3x2x2"}
+    for (word, ndim), mode in product(_BC_BY_WORD, MODES):
+        sizes = [int(d) for d in dims[ndim].split("x")]
+        last = ",".join(str(d - 1) for d in sizes)
+        ones = ",".join("1" for _ in sizes)
+        zero = ",".join("0" for _ in sizes)
+        past = ",".join(str(d) for d in sizes)
+        below = ",".join(["-1"] + ["0"] * (ndim - 1))
+        for c1, c2 in ((zero, last), (ones, last), (ones, ones), (zero, past), (below, zero)):
+            requests.append((None, [
+                "lattice", "--bc", word, "--dims", dims[ndim], "--r", "2/3", "--s", "3",
+                "--t", "1/2", "--from", c1, "--to", c2, "--mode", mode,
+            ]))
+    star = json.dumps({"nodes": 5, "edges": [[0, k, f"{k}/{k + 2}"] for k in range(1, 5)]
+                       + [[1, 2, 7]]})
+    chain = json.dumps({"nodes": 17, "edges": [[k, k + 1, f"1/{10**300 + k}"]
+                                               for k in range(16)]})
+    for net, (alpha, beta) in product((_SQUARE, _SPLIT, star), ((0, 1), (0, 3), (1, 4))):
+        requests.append((None, _graph(net, alpha, beta) + ["--mode", "exact"]))
+    # each error with the modes that report it
+    errors = [
+        (None, _graph(_SPLIT, 0, 3), MODES),
+        (None, _graph(_SPLIT, 0, 9), MODES),
+        (None, _graph(_SPLIT, -1, 0), MODES),
+        (None, _graph(_SQUARE, 2, 2), MODES),  # 0.0 in float mode
+        (None, _graph('{"nodes": 2, "edges": [[0, 1, "1e400"]]}', 0, 1), MODES),
+        (None, _graph('{"nodes": 2, "edges": [[0, 0, 1]]}', 0, 1), MODES),
+        (None, _graph('{"nodes": 2, "edges": [[0, 1, -1]]}', 0, 1), MODES),
+        (None, _graph("{bad", 0, 1), MODES),
+        (None, _graph(chain, 0, 16), ("exact", "both")),
+        (None, _graph('{"nodes": 2, "edges": [[0, 1, 0.25]]}', 0, 1), ("exact", "both")),
+        ("abc", _graph(_SPLIT, 0, 1), ("float", "both")),
+        ("-1", _graph(_SQUARE, 0, 1), ("both",)),
+    ]
+    for tol, argv, modes in errors:
+        requests += [(tol, argv + ["--mode", mode]) for mode in modes]
+    return [(tol, argv + ["--format", fmt])
+            for tol, argv in requests for fmt in ("json", "csv", "text")]
+
+
+def test_cli_reports_pinned(capsys, monkeypatch):
+    # no report here carries an eigh digit, so any rewrite of the CLI must keep these bytes
+    outputs = []
+    for tol, argv in cli_digest_corpus():
+        if tol is None:
+            monkeypatch.delenv("RESISTNET_TOL", raising=False)
+        else:
+            monkeypatch.setenv("RESISTNET_TOL", tol)
+        outputs.append((tol, argv, *run_cli(capsys, argv)))
+    assert len(outputs) == 480
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "8570666cd78c123e48a0368e3d05bf34e2a15bfe70b989079b24799001265349"
 
 
 def test_exact_mode_rejects_float_literals(capsys):
