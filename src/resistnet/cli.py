@@ -311,40 +311,27 @@ def _run_lattice(args) -> tuple[dict, int]:
     )
 
 
-# --which -> (IdentityQuery variant, closed form, direct sum) for the damped
-# lattice sums; a product identity's entry is its (lhs, rhs) function
-_IDENTITIES = {
-    "i1": (1, identities.i1_closed, identities.i1_direct),
-    "i2": (2, identities.i2_closed, identities.i2_direct),
-    "product-free": identities.product_identity_free,
-    "product-periodic": identities.product_identity_periodic,
-}
-
-
 def _run_identity(args) -> tuple[dict, int]:
-    report: dict = {
-        "method": "identity",
-        "which": args.which,
-        "N": args.n_terms,
-        "damping": args.lam,
-    }
-    entry = _IDENTITIES[args.which]
-    if callable(entry):
-        lhs, rhs = entry(args.n_terms, args.lam)
+    which = args.which
+    report: dict = {"method": "identity", "which": which, "N": args.n_terms, "damping": args.lam}
+    # functions are looked up per call, so a wrapped module attribute is the one run
+    if which in ("i1", "i2"):
+        query = identities.IdentityQuery(
+            n_terms=args.n_terms, offset=args.ell, damping=args.lam, variant=int(which[1])
+        )
+        closed = getattr(identities, f"{which}_closed")(query)
+        direct = getattr(identities, f"{which}_direct")(query)
+        both_infinite = math.isinf(closed) and math.isinf(direct)
+        report.update(
+            offset=args.ell,
+            closed=closed,
+            direct=direct,
+            difference=0.0 if both_infinite else closed - direct,
+        )
+    else:
+        product = getattr(identities, "product_identity_" + which.removeprefix("product-"))
+        lhs, rhs = product(args.n_terms, args.lam)
         report.update(lhs=lhs, rhs=rhs, difference=lhs - rhs)
-        return report, EXIT_OK
-    variant, closed_form, direct_sum = entry
-    query = identities.IdentityQuery(
-        n_terms=args.n_terms, offset=args.ell, damping=args.lam, variant=variant
-    )
-    closed, direct = closed_form(query), direct_sum(query)
-    both_infinite = math.isinf(closed) and math.isinf(direct)
-    report.update(
-        offset=args.ell,
-        closed=closed,
-        direct=direct,
-        difference=0.0 if both_infinite else closed - direct,
-    )
     return report, EXIT_OK
 
 
@@ -427,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument(
         "--which",
         required=True,
-        choices=tuple(_IDENTITIES),
+        choices=("i1", "i2", "product-free", "product-periodic"),
     )
     ident.add_argument("--N", dest="n_terms", type=int, required=True)
     ident.add_argument("--ell", type=int, default=0)

@@ -431,7 +431,10 @@ def cli_digest_corpus():
     ``lattice`` in every mode on all eight wraps, with same-node and
     out-of-range pairs; ``graph --mode exact``; and the ``graph`` error
     reports of every mode.  Graph float and both values are left out:
-    their last digits follow the BLAS thread count.
+    their last digits follow the BLAS thread count.  So is the exact value
+    too long to print: its message is the interpreter's own, which differs
+    between Python versions.  ``--from=`` lets a negative coordinate reach
+    the range check instead of argparse.
     """
     requests = []
     dims = {1: "5", 2: "4x3", 3: "3x2x2"}
@@ -445,12 +448,10 @@ def cli_digest_corpus():
         for c1, c2 in ((zero, last), (ones, last), (ones, ones), (zero, past), (below, zero)):
             requests.append((None, [
                 "lattice", "--bc", word, "--dims", dims[ndim], "--r", "2/3", "--s", "3",
-                "--t", "1/2", "--from", c1, "--to", c2, "--mode", mode,
+                "--t", "1/2", f"--from={c1}", f"--to={c2}", "--mode", mode,
             ]))
     star = json.dumps({"nodes": 5, "edges": [[0, k, f"{k}/{k + 2}"] for k in range(1, 5)]
                        + [[1, 2, 7]]})
-    chain = json.dumps({"nodes": 17, "edges": [[k, k + 1, f"1/{10**300 + k}"]
-                                               for k in range(16)]})
     for net, (alpha, beta) in product((_SQUARE, _SPLIT, star), ((0, 1), (0, 3), (1, 4))):
         requests.append((None, _graph(net, alpha, beta) + ["--mode", "exact"]))
     # each error with the modes that report it
@@ -463,7 +464,6 @@ def cli_digest_corpus():
         (None, _graph('{"nodes": 2, "edges": [[0, 0, 1]]}', 0, 1), MODES),
         (None, _graph('{"nodes": 2, "edges": [[0, 1, -1]]}', 0, 1), MODES),
         (None, _graph("{bad", 0, 1), MODES),
-        (None, _graph(chain, 0, 16), ("exact", "both")),
         (None, _graph('{"nodes": 2, "edges": [[0, 1, 0.25]]}', 0, 1), ("exact", "both")),
         ("abc", _graph(_SPLIT, 0, 1), ("float", "both")),
         ("-1", _graph(_SQUARE, 0, 1), ("both",)),
@@ -483,9 +483,9 @@ def test_cli_reports_pinned(capsys, monkeypatch):
         else:
             monkeypatch.setenv("RESISTNET_TOL", tol)
         outputs.append((tol, argv, *run_cli(capsys, argv)))
-    assert len(outputs) == 480
+    assert len(outputs) == 474
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
-    assert digest == "8570666cd78c123e48a0368e3d05bf34e2a15bfe70b989079b24799001265349"
+    assert digest == "dd1924b871fa46c2aaa3fb0c6aa6722093541e39ab23824ca6f9c348e7c1ca58"
 
 
 def test_exact_mode_rejects_float_literals(capsys):
