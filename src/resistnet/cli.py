@@ -303,7 +303,9 @@ def _run_lattice(args) -> tuple[dict, int]:
     }
 
     def oracle():
-        alpha, beta = spec.node_index(c1), spec.node_index(c2)  # before building
+        # the pair is checked before the lattice is built; a lattice is connected
+        alpha, beta = spec.node_index(c1), spec.node_index(c2)
+        network._check_pair(alpha, beta)
         return exact.solve_exact(lattice.make_lattice(spec), alpha, beta)
 
     return _answer(

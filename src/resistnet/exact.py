@@ -5,10 +5,10 @@ fraction-free (Bareiss) elimination in minimum-degree order: each step
 touches only the entries its pivot changes, and every intermediate is an
 exact integer minor.  With the query node eliminated last, the last two
 pivots are the two determinants of Wu's cofactor formula, and their ratio
-is the resistance in lowest terms.  The all-pairs table carries no
-right-hand side: it rebuilds the symmetric grounded inverse from the pivot
-rows alone, by Takahashi's recurrence.  Float resistances are rationalized
-exactly from their binary representation.
+is the resistance in lowest terms.  No route carries a right-hand side:
+the table rebuilds the grounded inverse from the pivot rows alone, by
+Takahashi's recurrence, and the potentials are one column of it.  A float
+resistance enters as the exact Fraction of its binary value.
 
 The bottom of the module pins the golden reference table: the named
 benchmark networks with their known exact resistances, solved and checked
@@ -22,12 +22,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .errors import (
-    DisconnectedNetworkError,
-    SameNodeError,
-    SingularSystemError,
-)
-from .network import Network, _check_nodes, build_network, connectivity_check
+from .errors import DisconnectedNetworkError, SingularSystemError
+from .network import Network, _check_nodes, _check_pair, build_network, connectivity_check
 
 if TYPE_CHECKING:
     from .lattice import LatticeSpec
@@ -52,21 +48,14 @@ class KirchhoffSystem(NamedTuple):
         return self.potentials[self.alpha]
 
 
-def rationalize(value) -> Fraction:
-    """Exact Fraction from int, Fraction, p/q string, or binary float."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"cannot rationalize {value!r}")
-    return Fraction(value)
-
-
 def _merged_conductances(net: Network) -> dict[tuple[int, int], tuple[int, int]]:
     """Merged conductance per unordered pair, as (numerator, denominator).
 
     A resistance in lowest terms has for reciprocal the same two integers
     swapped: an int r gives (1, r) and a Fraction p/q gives (q, p), with no
-    Fraction built; anything else is rationalized first.  Parallel edges
-    are added and reduced by their gcd, so every merged pair is in lowest
-    terms too.
+    Fraction built; a float, finite by build_network, goes through Fraction
+    first.  Parallel edges are added and reduced by their gcd, so every
+    merged pair is in lowest terms too.
     """
     merged: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j, r in net.edges:
@@ -75,7 +64,7 @@ def _merged_conductances(net: Network) -> dict[tuple[int, int], tuple[int, int]]
         if kind is int:
             num, den = 1, r
         else:
-            q = r if kind is Fraction else rationalize(r)
+            q = r if kind is Fraction else Fraction(r)
             num, den = q.denominator, q.numerator
         old = merged.get(key)
         if old is not None:
@@ -131,11 +120,9 @@ def _integer_grounded_rows(
 
 
 def _eliminate(
-    rows: dict[int, dict[int, int]],
-    rhs: dict[int, int],
-    last: int | None = None,
-) -> Iterator[tuple[int, int, list[tuple[int, int]], int]]:
-    """Forward-eliminate the symmetric system ``rows`` y = ``rhs`` in integers.
+    rows: dict[int, dict[int, int]], last: int | None = None
+) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """Forward-eliminate the symmetric integer matrix ``rows``.
 
     Sparse Bareiss elimination: after step t every stored entry is the
     integer minor a^(t) on the first t pivots, and the pivot d_t is a
@@ -148,15 +135,13 @@ def _eliminate(
     An entry the pivot does not touch only gains the factor d_t / d_(t-1),
     so each entry keeps the step s at which it was last set and is brought
     up to date on reading as a d_(t-1) // d_s, an exact division because
-    both sides are minors.  ``rhs`` is one column, ``{node: value}``.
+    both sides are minors.
 
-    Yields one ``(node, d_t, row, b)`` per step: the pivot row's
-    ``(column, entry)`` pairs at the later nodes and its right-hand side,
-    up to date at step t - 1.  The last pivot is det(rows).  Nothing is
-    kept once yielded.
+    Yields one ``(node, d_t, row)`` per step: the pivot row's
+    ``(column, entry)`` pairs at the later nodes, up to date at step t - 1.
+    The last pivot is det(rows).  Nothing is kept once yielded.
     """
     mat = {i: {j: (a, 0) for j, a in row.items()} for i, row in rows.items()}
-    vec = {i: (b, 0) for i, b in rhs.items()}
     pivots = [1]  # pivots[t] = d_t, the pivot of step t; d_0 = 1
     # heap key (size, -stamp, node): the stamp counts pushes
     heap = [(len(row), 0, node) for node, row in mat.items() if node != last]
@@ -181,9 +166,6 @@ def _eliminate(
         nbrs = [
             (j, a if s == stale else a * prev // pivots[s]) for j, (a, s) in row.items()
         ]
-        b, s = vec.pop(k, zero)
-        if s != stale:
-            b = b * prev // pivots[s]
         for n, (i, f) in enumerate(nbrs):
             row_i = mat[i]
             del row_i[k]
@@ -192,43 +174,38 @@ def _eliminate(
                 if s != stale:
                     a = a * prev // pivots[s]
                 row_i[j] = mat[j][i] = ((p * a - f * g) // prev, step)
-            if b:
-                a, s = vec.get(i, zero)
-                if s != stale:
-                    a = a * prev // pivots[s]
-                vec[i] = ((p * a - f * b) // prev, step)
             if i != last:
                 stamp += 1
                 heapq.heappush(heap, (len(row_i), -stamp, i))
         pivots.append(p)
-        yield k, p, nbrs, b
+        yield k, p, nbrs
 
 
 def _query_component(net: Network, alpha: int, beta: int) -> list[int]:
     """The nodes of the query's component other than beta, checked."""
     _check_nodes(net, alpha, beta)
-    if alpha == beta:
-        raise SameNodeError("resistance query needs two distinct nodes")
-    n_comp, labels = connectivity_check(net)
-    if labels[alpha] != labels[beta]:
-        raise DisconnectedNetworkError(
-            f"nodes {alpha} and {beta} lie in different components"
-        )
+    labels = connectivity_check(net)[1]
+    _check_pair(alpha, beta, labels)
     return [k for k in range(net.n_nodes) if k != beta and labels[k] == labels[alpha]]
 
 
 def solve_kirchhoff(net: Network, alpha: int, beta: int) -> KirchhoffSystem:
-    """Ground beta, inject unit current at alpha, solve exactly."""
+    """Ground beta, inject unit current at alpha, solve exactly.
+
+    With alpha eliminated last, y = det * potentials is column alpha of
+    Y = det * G (see exact_resistance_matrix).  Takahashi's recurrence reads
+    it bottom-up from y_alpha = scale d_(m-1): y_k = -(sum_j a_kj y_j) / d_k.
+    """
     # The solve runs on the query's component; any other component keeps
     # potential 0, which satisfies its (currentless) equations.
     active = _query_component(net, alpha, beta)
     rows, scale = _integer_grounded_rows(net, active)
-    steps = list(_eliminate(rows, {alpha: scale}))
-    # det times the potentials, back-substituted from the last pivot up
+    steps = list(_eliminate(rows, last=alpha))
     det = steps[-1][1]
-    y: dict[int, int] = {}
-    for k, p, row, b in reversed(steps):
-        y[k] = (det * b - sum(u * y[j] for j, u in row)) // p
+    minor = steps[-2][1] if len(steps) > 1 else 1
+    y = {alpha: scale * minor}
+    for k, p, row in reversed(steps[:-1]):
+        y[k] = -sum(u * y[j] for j, u in row) // p
 
     potentials = [Fraction(0)] * net.n_nodes
     for node in active:
@@ -246,7 +223,7 @@ def solve_exact(net: Network, alpha: int, beta: int) -> Fraction:
     """
     rows, scale = _integer_grounded_rows(net, _query_component(net, alpha, beta))
     minor = det = 1
-    for _, p, _, _ in _eliminate(rows, {}, last=alpha):
+    for _, p, _ in _eliminate(rows, last=alpha):
         minor, det = det, p
     return Fraction(scale * minor, det)
 
@@ -273,12 +250,12 @@ def exact_resistance_matrix(net: Network) -> list[list[Fraction]]:
     if n == 1:
         return [[Fraction(0)]]
     rows, scale = _integer_grounded_rows(net, list(range(1, n)))
-    steps = list(_eliminate(rows, {}))
+    steps = list(_eliminate(rows))
     det = steps[-1][1]
     y = [[0] * n for _ in range(n)]  # row and column 0, the ground, stay 0
     later: list[int] = []
     for t in range(len(steps) - 1, -1, -1):
-        k, p, row, _ = steps[t]
+        k, p, row = steps[t]
         y_k = y[k]
         for c in later:
             y_c = y[c]

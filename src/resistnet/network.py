@@ -104,6 +104,17 @@ def _check_nodes(net: Network, *nodes: int) -> None:
             raise NodeIndexError(f"node {node} outside 0..{net.n_nodes - 1}")
 
 
+def _check_pair(alpha: int, beta: int, labels: Sequence[int] | None = None) -> None:
+    """Two distinct nodes, in one component by ``labels`` (connectivity_check's);
+    a lattice is connected, so its pair is checked without them, before building."""
+    if alpha == beta:
+        raise SameNodeError("resistance query needs two distinct nodes")
+    if labels is not None and labels[alpha] != labels[beta]:
+        raise DisconnectedNetworkError(
+            f"nodes {alpha} and {beta} lie in different components"
+        )
+
+
 def build_network(n_nodes: int, edges: Iterable[Sequence]) -> Network:
     """Validate and freeze a resistor network.
 
@@ -233,13 +244,7 @@ def first_passage_probability(
     conductance is the coordination number.
     """
     _check_nodes(net, alpha, beta)
-    if alpha == beta:
-        raise SameNodeError("first-passage probability needs two distinct nodes")
-    n_comp, labels = connectivity_check(net)
-    if labels[alpha] != labels[beta]:
-        raise DisconnectedNetworkError(
-            f"nodes {alpha} and {beta} lie in different components"
-        )
+    _check_pair(alpha, beta, connectivity_check(net)[1])
     if isinstance(resistance, float) and not math.isfinite(resistance):
         raise NonPositiveResistanceError(
             f"two-point resistance must be finite, got {resistance!r}"

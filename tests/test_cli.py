@@ -412,15 +412,17 @@ def test_mode_contract(capsys, monkeypatch, query, mode):
 
 
 def test_bad_lattice_pair_never_builds_the_lattice(capsys, monkeypatch):
+    # a pair outside the lattice, or the same node twice, exits 4 unbuilt
     def unbuilt(spec):
-        raise AssertionError("make_lattice ran for a pair outside the lattice")
+        raise AssertionError("make_lattice ran for a bad pair")
 
     monkeypatch.setattr(lattice, "make_lattice", unbuilt)
     argv = ["lattice", "--bc", "free", "--dims", "2000x2000", "--from", "0,0"]
-    for to in ("5000,0", "0,-1"):
+    for to, error in (("5000,0", "NodeIndexError"), ("0,-1", "NodeIndexError"),
+                      ("0,0", "SameNodeError")):
         for mode in ("exact", "both"):
             code, report = run_json(capsys, argv + ["--to", to, "--mode", mode])
-            assert (code, report["error"]["type"]) == (4, "NodeIndexError")
+            assert (code, report["error"]["type"]) == (4, error)
     code, report = run_json(capsys, argv + ["--to", "5000,0", "--mode", "exact"])
     assert report["error"]["message"] == "coordinate (5000, 0) outside (2000, 2000)"
 

@@ -1,6 +1,7 @@
 """Invariants every two-point resistance obeys, checked exactly on the oracle.
 
 The resistance is a metric; series and parallel resistors reduce to one;
+a star of three resistors is its triangle (the Y-Delta transform);
 Rayleigh's monotonicity law holds; and the all-pairs table follows the
 rank-one (Sherman-Morrison) update under a change of one edge's
 conductance.  The examples are derandomized and no database is kept, so
@@ -24,9 +25,9 @@ EXACT = settings(max_examples=25, derandomize=True, database=None, deadline=None
 
 
 @st.composite
-def networks(draw):
+def networks(draw, min_nodes=2):
     """Connected p/q multigraph: a random spanning tree plus chords."""
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(min_nodes, 7))
     edges = [(draw(st.integers(0, k - 1)), k, draw(RESISTANCES)) for k in range(1, n)]
     node = st.integers(0, n - 1)
     chords = st.tuples(node, node, RESISTANCES).filter(lambda e: e[0] != e[1])
@@ -84,6 +85,23 @@ def test_parallel_reduction(net, data):
     i, j, r = edges[e]
     split = edges[:e] + [(i, j, r / t), (j, i, r / (1 - t))] + edges[e + 1:]
     assert table_of(n, split) == table_of(n, edges)
+
+
+@EXACT
+@given(net=networks(min_nodes=3), data=st.data())
+def test_star_triangle_transform(net, data):
+    # legs r_a, r_b, r_c from a new node to a, b and c change no resistance
+    # between the old nodes from the triangle R_ab = S / r_c, R_bc = S / r_a,
+    # R_ca = S / r_b, where S = r_a r_b + r_b r_c + r_c r_a
+    n, edges = net
+    a, b, c = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+    r_a, r_b, r_c = (data.draw(RESISTANCES) for _ in range(3))
+    s = r_a * r_b + r_b * r_c + r_c * r_a
+    star = edges + [(n, a, r_a), (n, b, r_b), (n, c, r_c)]
+    delta = edges + [(a, b, s / r_c), (b, c, s / r_a), (c, a, s / r_b)]
+    with_star, with_delta = table_of(n + 1, star), table_of(n, delta)
+    for x in range(n):
+        assert with_star[x][:n] == with_delta[x]
 
 
 @EXACT
