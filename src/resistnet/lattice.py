@@ -520,26 +520,21 @@ def resistance(spec: LatticeSpec, c1: Sequence[int], c2: Sequence[int]) -> float
     """Closed-form resistance between two coordinate tuples."""
     bc = BoundaryCondition(spec.bc)
     res = tuple(_to_float(r) for r in spec.resistances)
-    p1, p2 = tuple(c1), tuple(c2)
-    if p1 == p2 and len(p1) == len(spec.dims):  # every mode sum is +0.0: skip it
-        for c, d, axis in zip(p1, spec.dims, "xyz"):
-            _check_range(c, d, f"{axis}1")
-        return 0.0
     if bc is BoundaryCondition.FREE_1D:
-        return r_1d_free(spec.dims[0], res[0], p1[0], p2[0])
+        return r_1d_free(spec.dims[0], res[0], c1[0], c2[0])
     if bc is BoundaryCondition.PERIODIC_1D:
-        return r_1d_periodic(spec.dims[0], res[0], p1[0], p2[0])
+        return r_1d_periodic(spec.dims[0], res[0], c1[0], c2[0])
     if bc is BoundaryCondition.FREE_2D:
-        return r_2d_free(*spec.dims, *res, p1, p2)
+        return r_2d_free(*spec.dims, *res, tuple(c1), tuple(c2))
     if bc is BoundaryCondition.PERIODIC_2D:
-        return r_2d_periodic(*spec.dims, *res, p1, p2)
+        return r_2d_periodic(*spec.dims, *res, tuple(c1), tuple(c2))
     if bc is BoundaryCondition.CYLINDER:
-        return r_2d_cylinder(*spec.dims, *res, p1, p2)
+        return r_2d_cylinder(*spec.dims, *res, tuple(c1), tuple(c2))
     if bc is BoundaryCondition.MOEBIUS:
-        return r_2d_moebius(*spec.dims, *res, p1, p2)
+        return r_2d_moebius(*spec.dims, *res, tuple(c1), tuple(c2))
     if bc is BoundaryCondition.KLEIN:
-        return r_2d_klein(*spec.dims, *res, p1, p2)
-    return r_3d_free(*spec.dims, *res, p1, p2)
+        return r_2d_klein(*spec.dims, *res, tuple(c1), tuple(c2))
+    return r_3d_free(*spec.dims, *res, tuple(c1), tuple(c2))
 
 
 # ---------------------------------------------------------------------------

@@ -104,11 +104,14 @@ def _check_nodes(net: Network, *nodes: int) -> None:
             raise NodeIndexError(f"node {node} outside 0..{net.n_nodes - 1}")
 
 
-def _check_pair(alpha: int, beta: int, labels: Sequence[int] | None = None) -> None:
+def _check_pair(
+    alpha: int, beta: int, labels: Sequence[int] | None = None, query: str = "resistance query"
+) -> None:
     """Two distinct nodes, in one component by ``labels`` (connectivity_check's);
-    a lattice is connected, so its pair is checked without them, before building."""
+    a lattice is connected, so its pair is checked without them, before building.
+    ``query`` names the caller's query in the same-node message."""
     if alpha == beta:
-        raise SameNodeError("resistance query needs two distinct nodes")
+        raise SameNodeError(f"{query} needs two distinct nodes")
     if labels is not None and labels[alpha] != labels[beta]:
         raise DisconnectedNetworkError(
             f"nodes {alpha} and {beta} lie in different components"
@@ -244,7 +247,7 @@ def first_passage_probability(
     conductance is the coordination number.
     """
     _check_nodes(net, alpha, beta)
-    _check_pair(alpha, beta, connectivity_check(net)[1])
+    _check_pair(alpha, beta, connectivity_check(net)[1], "first-passage probability")
     if isinstance(resistance, float) and not math.isfinite(resistance):
         raise NonPositiveResistanceError(
             f"two-point resistance must be finite, got {resistance!r}"

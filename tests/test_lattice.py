@@ -40,7 +40,6 @@ from resistnet.exact import (
     PERIODIC_5X4,
     square_grid_corner_formula,
 )
-from resistnet import lattice
 from resistnet.lattice import (
     BoundaryCondition,
     LatticeSpec,
@@ -491,43 +490,3 @@ def test_coordinates_out_of_range():
         r_2d_free(5, 4, 1, 1, (0, 0), (5, 3))
     with pytest.raises(NodeIndexError):
         r_3d_free(2, 2, 2, 1, 1, 1, (0, 0, 0), (0, 0, 2))
-
-
-CLOSED_FORMS = {
-    BC.FREE_1D: "r_1d_free",
-    BC.PERIODIC_1D: "r_1d_periodic",
-    BC.FREE_2D: "r_2d_free",
-    BC.PERIODIC_2D: "r_2d_periodic",
-    BC.CYLINDER: "r_2d_cylinder",
-    BC.MOEBIUS: "r_2d_moebius",
-    BC.KLEIN: "r_2d_klein",
-    BC.FREE_3D: "r_3d_free",
-}
-
-
-@pytest.mark.parametrize("bc", list(BC))
-def test_same_node_reads_zero_without_the_mode_sum(bc, monkeypatch):
-    dims = {1: (5,), 2: (4, 3), 3: (3, 2, 2)}[bc.ndim]
-    spec = LatticeSpec(dims, (Fraction(2, 3), 0.7, 3)[: bc.ndim], bc)
-    inside = [tuple(0 for _ in dims), tuple(d - 1 for d in dims), tuple(d // 2 for d in dims)]
-    outside = [tuple(-1 if k == 0 else 0 for k in range(len(dims)))] + [
-        tuple(d if k == axis else 0 for k, d in enumerate(dims)) for axis in range(len(dims))
-    ]
-    # the closed form's own message for each coordinate outside the lattice
-    messages = {}
-    for c in outside:
-        with pytest.raises(NodeIndexError) as err:
-            resistance(spec, c, inside[1])
-        messages[c] = str(err.value)
-
-    def unsummed(*args):
-        raise AssertionError(f"{CLOSED_FORMS[bc]} ran for a same-node pair")
-
-    monkeypatch.setattr(lattice, CLOSED_FORMS[bc], unsummed)
-    for c in inside:
-        assert repr(resistance(spec, c, c)) == "0.0"
-        assert repr(resistance(spec, list(c), c)) == "0.0"
-    for c in outside:
-        with pytest.raises(NodeIndexError) as err:
-            resistance(spec, c, c)
-        assert str(err.value) == messages[c]

@@ -154,7 +154,7 @@ def test_first_passage_triangle():
 
 def test_first_passage_errors():
     net = build_network(4, [(0, 1, 1), (2, 3, 1)])
-    with pytest.raises(SameNodeError):
+    with pytest.raises(SameNodeError, match="^first-passage probability needs two distinct nodes$"):
         first_passage_probability(net, 1, 1, 1.0)
     with pytest.raises(DisconnectedNetworkError):
         first_passage_probability(net, 0, 2, 1.0)
