@@ -20,12 +20,10 @@ from .errors import (
     SingularSystemError,
 )
 from .exact import (
-    ExactRational,
     KirchhoffSystem,
     OracleCase,
     OracleResult,
     exact_resistance_matrix,
-    rational_laplacian,
     reference_cases,
     solve_exact,
     solve_kirchhoff,

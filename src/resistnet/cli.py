@@ -58,17 +58,6 @@ def parse_resistance_literal(raw, exact_mode: bool):
     raise ParseError(f"bad resistance {raw!r}")
 
 
-def network_to_json(net: network.Network) -> dict:
-    """JSON-ready form: {"nodes": n, "edges": [[i, j, r], ...]}."""
-    edges = []
-    for i, j, r in net.edges:
-        if isinstance(r, Fraction):
-            edges.append([i, j, str(r)])
-        else:
-            edges.append([i, j, r])
-    return {"nodes": net.n_nodes, "edges": edges}
-
-
 def parse_network_json(obj, exact_mode: bool = False) -> network.Network:
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise ParseError('network JSON needs "nodes" and "edges"')

@@ -46,7 +46,11 @@ class SameNodeError(ResistnetError):
 
 
 class OutOfRangeError(ResistnetError):
-    """Identity-query parameter outside its admissible range."""
+    """Parameter or value outside its admissible range.
+
+    Identity and lattice-sum parameters, the comparison tolerance, a value
+    a float route cannot carry, and an exact value too long to print.
+    """
 
     exit_code = EXIT_RANGE
 

@@ -28,10 +28,6 @@ from .network import Network, _check_nodes, _check_pair, build_network, connecti
 if TYPE_CHECKING:
     from .lattice import LatticeSpec
 
-# Arbitrary-precision fraction used throughout the oracle.
-ExactRational = Fraction
-
-
 class KirchhoffSystem(NamedTuple):
     """Solution of the grounded Kirchhoff system for one resistance query.
 
@@ -73,23 +69,6 @@ def _merged_conductances(net: Network) -> dict[tuple[int, int], tuple[int, int]]
             num, den = num // g, den // g
         merged[key] = (num, den)
     return merged
-
-
-def rational_conductances(net: Network) -> dict[tuple[int, int], Fraction]:
-    """Merged conductance per unordered pair, exact."""
-    return {key: Fraction(*c) for key, c in _merged_conductances(net).items()}
-
-
-def rational_laplacian(net: Network) -> list[list[Fraction]]:
-    """Exact Kirchhoff matrix; rows sum to zero identically."""
-    n = net.n_nodes
-    lap = [[Fraction(0) for _ in range(n)] for _ in range(n)]
-    for (i, j), c in rational_conductances(net).items():
-        lap[i][j] -= c
-        lap[j][i] -= c
-        lap[i][i] += c
-        lap[j][j] += c
-    return lap
 
 
 def _integer_grounded_rows(

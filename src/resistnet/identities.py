@@ -57,10 +57,6 @@ class IdentityQuery(_IdentityQueryFields):
     def _make(cls, iterable) -> IdentityQuery:
         return cls(*iterable)  # so that _replace validates too
 
-    @property
-    def decay_factor(self) -> float:
-        return math.exp(-self.damping)
-
 
 def _in_float_range(
     compute: Callable[[], float | tuple[float, float]], n_terms: int, damping: float

@@ -33,7 +33,7 @@ from .errors import (
     OutOfRangeError,
     ParseError,
 )
-from .network import Network, Resistance, _check_resistance, _to_float, build_network
+from .network import Network, Resistance, _check_resistance, _to_float
 
 
 class BoundaryCondition(Enum):
@@ -160,7 +160,8 @@ def make_lattice(spec: LatticeSpec) -> Network:
 
     Axis by axis, and line by line along it (the other coordinates in
     index order), the chain edges come first, then the line's wrap edge
-    from its last node if the axis is a ring or a twist.
+    from its last node if the axis is a ring or a twist.  The edges are
+    valid by construction, the resistances checked by LatticeSpec.
     """
     n_nodes = spec.n_nodes
     edges: list = []
@@ -179,7 +180,7 @@ def make_lattice(spec: LatticeSpec) -> Network:
                 if base + last != far:
                     edges.append((base + last, far, res))
         stride = block
-    return build_network(n_nodes, edges)
+    return Network(n_nodes, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +291,24 @@ def _ring_terms(widths: Iterable, runs: tuple, parts: tuple, scale: int) -> Iter
 # closed forms
 
 
-def _check_range(value: int, limit: int, what: str) -> None:
-    if not 0 <= value < limit:
-        raise NodeIndexError(f"{what}={value} outside 0..{limit - 1}")
+def _check_points(dims: Sequence[int], p1: Sequence[int], p2: Sequence[int]) -> None:
+    """Both endpoints inside the lattice, checked x1, x2, y1, y2, z1, z2."""
+    for axis, limit, c1, c2 in zip("xyz", dims, p1, p2):
+        if not 0 <= c1 < limit:
+            raise NodeIndexError(f"{axis}1={c1} outside 0..{limit - 1}")
+        if not 0 <= c2 < limit:
+            raise NodeIndexError(f"{axis}2={c2} outside 0..{limit - 1}")
 
 
 def r_1d_free(n_nodes: int, r: float, x1: int, x2: int) -> float:
     """Chain of series resistors: r |x1 - x2|."""
-    _check_range(x1, n_nodes, "x1")
-    _check_range(x2, n_nodes, "x2")
+    _check_points((n_nodes,), (x1,), (x2,))
     return float(r) * abs(x1 - x2)
 
 
 def r_1d_periodic(n_nodes: int, r: float, x1: int, x2: int) -> float:
     """Ring: the two arcs d*r and (N-d)*r in parallel."""
-    _check_range(x1, n_nodes, "x1")
-    _check_range(x2, n_nodes, "x2")
+    _check_points((n_nodes,), (x1,), (x2,))
     d = abs(x1 - x2)
     return float(r) * d * (1 - d / n_nodes)
 
@@ -321,8 +324,7 @@ def r_2d_free(
     """Free MxN grid; depends on both endpoints, not just their offset."""
     x1, y1 = p1
     x2, y2 = p2
-    _check_range(x1, m, "x1"), _check_range(x2, m, "x2")
-    _check_range(y1, n, "y1"), _check_range(y2, n, "y2")
+    _check_points((m, n), p1, p2)
     r = float(r)
     s = float(s)
     axis = [r * abs(x1 - x2) / n, s * abs(y1 - y2) / m]
@@ -347,8 +349,7 @@ def r_2d_periodic(
     """Torus; depends only on the coordinate differences."""
     x1, y1 = p1
     x2, y2 = p2
-    _check_range(x1, m, "x1"), _check_range(x2, m, "x2")
-    _check_range(y1, n, "y1"), _check_range(y2, n, "y2")
+    _check_points((m, n), p1, p2)
     r = float(r)
     s = float(s)
     dx = x1 - x2
@@ -379,8 +380,7 @@ def r_2d_cylinder(
     """Cylinder: periodic along the length M, free across the width N."""
     x1, y1 = p1
     x2, y2 = p2
-    _check_range(x1, m, "x1"), _check_range(x2, m, "x2")
-    _check_range(y1, n, "y1"), _check_range(y2, n, "y2")
+    _check_points((m, n), p1, p2)
     r = float(r)
     s = float(s)
     dx = x1 - x2
@@ -406,8 +406,7 @@ def r_2d_moebius(
     """
     x1, y1 = p1
     x2, y2 = p2
-    _check_range(x1, m, "x1"), _check_range(x2, m, "x2")
-    _check_range(y1, n, "y1"), _check_range(y2, n, "y2")
+    _check_points((m, n), p1, p2)
     r = float(r)
     s = float(s)
     dx = x1 - x2
@@ -465,8 +464,7 @@ def r_2d_klein(
     """Klein bottle: twisted along the length, periodic across the width."""
     x1, y1 = p1
     x2, y2 = p2
-    _check_range(x1, m, "x1"), _check_range(x2, m, "x2")
-    _check_range(y1, n, "y1"), _check_range(y2, n, "y2")
+    _check_points((m, n), p1, p2)
     r = float(r)
     s = float(s)
     axis = [r * g_sum(m, x1 - x2) / n]
@@ -490,9 +488,7 @@ def r_3d_free(
     """
     x1, y1, z1 = p1
     x2, y2, z2 = p2
-    _check_range(x1, m, "x1"), _check_range(x2, m, "x2")
-    _check_range(y1, n, "y1"), _check_range(y2, n, "y2")
-    _check_range(z1, l, "z1"), _check_range(z2, l, "z2")
+    _check_points((m, n, l), p1, p2)
     r = float(r)
     s = float(s)
     t = float(t)
@@ -516,25 +512,26 @@ def r_3d_free(
     return math.fsum(chain(axis, terms))
 
 
+# The closed form of each wrap; the 1D ones take scalar coordinates.
+_CLOSED_FORMS = {
+    BoundaryCondition.FREE_1D: r_1d_free,
+    BoundaryCondition.PERIODIC_1D: r_1d_periodic,
+    BoundaryCondition.FREE_2D: r_2d_free,
+    BoundaryCondition.PERIODIC_2D: r_2d_periodic,
+    BoundaryCondition.CYLINDER: r_2d_cylinder,
+    BoundaryCondition.MOEBIUS: r_2d_moebius,
+    BoundaryCondition.KLEIN: r_2d_klein,
+    BoundaryCondition.FREE_3D: r_3d_free,
+}
+
+
 def resistance(spec: LatticeSpec, c1: Sequence[int], c2: Sequence[int]) -> float:
     """Closed-form resistance between two coordinate tuples."""
-    bc = BoundaryCondition(spec.bc)
+    closed_form = _CLOSED_FORMS[spec.bc]
     res = tuple(_to_float(r) for r in spec.resistances)
-    if bc is BoundaryCondition.FREE_1D:
-        return r_1d_free(spec.dims[0], res[0], c1[0], c2[0])
-    if bc is BoundaryCondition.PERIODIC_1D:
-        return r_1d_periodic(spec.dims[0], res[0], c1[0], c2[0])
-    if bc is BoundaryCondition.FREE_2D:
-        return r_2d_free(*spec.dims, *res, tuple(c1), tuple(c2))
-    if bc is BoundaryCondition.PERIODIC_2D:
-        return r_2d_periodic(*spec.dims, *res, tuple(c1), tuple(c2))
-    if bc is BoundaryCondition.CYLINDER:
-        return r_2d_cylinder(*spec.dims, *res, tuple(c1), tuple(c2))
-    if bc is BoundaryCondition.MOEBIUS:
-        return r_2d_moebius(*spec.dims, *res, tuple(c1), tuple(c2))
-    if bc is BoundaryCondition.KLEIN:
-        return r_2d_klein(*spec.dims, *res, tuple(c1), tuple(c2))
-    return r_3d_free(*spec.dims, *res, tuple(c1), tuple(c2))
+    if len(spec.dims) == 1:
+        return closed_form(spec.dims[0], res[0], c1[0], c2[0])
+    return closed_form(*spec.dims, *res, tuple(c1), tuple(c2))
 
 
 # ---------------------------------------------------------------------------

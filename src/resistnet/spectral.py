@@ -31,10 +31,6 @@ class Spectrum(NamedTuple):
         return int(self.eigenvalues.shape[0])
 
     @property
-    def zero_mode_index(self) -> int:
-        return self.zero_modes[0]
-
-    @property
     def is_connected(self) -> bool:
         return len(self.zero_modes) == 1
 
@@ -106,8 +102,9 @@ def resistance_matrix(spec: Spectrum) -> np.ndarray:
     del scaled
     diag = np.diag(gram)
     table = np.add.outer(diag, diag)
+    # scaled @ scaled.T fills both triangles from one (BLAS syrk): gram.T is gram
     table -= gram
-    table -= gram.T
+    table -= gram
     np.maximum(table, 0.0, out=table)
     np.fill_diagonal(table, 0.0)
     table.setflags(write=False)

@@ -270,7 +270,7 @@ def test_criterion_7_property_suites():
         v = spectrum.eigenvectors
         assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-10
         uniform = np.full(n, 1 / math.sqrt(n))
-        zvec = v[:, spectrum.zero_mode_index]
+        zvec = v[:, spectrum.zero_modes[0]]
         assert min(np.abs(zvec - uniform).max(), np.abs(zvec + uniform).max()) <= 1e-8
 
         table = resistance_matrix(spectrum)

@@ -13,7 +13,6 @@ from resistnet import assemble_laplacian, build_network, lattice
 from resistnet.cli import (
     _BC_BY_WORD,
     main,
-    network_to_json,
     parse_network_json,
     parse_network_text,
 )
@@ -510,7 +509,9 @@ def test_network_json_round_trip():
     net = build_network(
         3, [(0, 1, Fraction(2, 3)), (1, 2, 4), (0, 2, 0.25), (0, 1, Fraction(2, 3))]
     )
-    restored = parse_network_json(network_to_json(net))
+    restored = parse_network_json(
+        {"nodes": 3, "edges": [[0, 1, "2/3"], [1, 2, 4], [0, 2, 0.25], [0, 1, "2/3"]]}
+    )
     assert restored.n_nodes == net.n_nodes
     assert np.array_equal(
         assemble_laplacian(restored).matrix, assemble_laplacian(net).matrix

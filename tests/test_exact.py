@@ -14,11 +14,11 @@ from resistnet import (
     SameNodeError,
     build_network,
     exact_resistance_matrix,
-    rational_laplacian,
     solve_exact,
     solve_kirchhoff,
     solve_reference_table,
 )
+from resistnet import exact
 from resistnet.exact import (
     CYLINDER_5X4,
     FREE_5X4,
@@ -29,7 +29,6 @@ from resistnet.exact import (
     bridge_adjacent_formula,
     bridge_network,
     complete_network,
-    rational_conductances,
     square_grid_corner_formula,
 )
 from resistnet.lattice import BoundaryCondition, LatticeSpec, make_lattice
@@ -106,14 +105,26 @@ def test_ground_choice_irrelevant():
         assert solve_exact(net, a, b) == solve_exact(net, b, a)
 
 
+def reference_conductances(net):
+    """The merged conductances as a plain Fraction sum, edge by edge."""
+    merged = {}
+    for i, j, r in net.edges:
+        key = (i, j) if i < j else (j, i)
+        merged[key] = merged.get(key, Fraction(0)) + 1 / Fraction(r)
+    return merged
+
+
 def assert_resubstitutes(net, system):
-    """L x must equal e_alpha - e_beta exactly, with x_beta = 0."""
-    a, b = system.alpha, system.beta
-    lap = rational_laplacian(net)
-    current = [
-        sum(lap[i][j] * system.potentials[j] for j in range(net.n_nodes))
-        for i in range(net.n_nodes)
-    ]
+    """L x must equal e_alpha - e_beta exactly, with x_beta = 0.
+
+    L x is summed from reference_conductances, apart from the oracle's merge.
+    """
+    a, b, x = system.alpha, system.beta, system.potentials
+    current = [Fraction(0)] * net.n_nodes
+    for (i, j), c in reference_conductances(net).items():
+        flow = c * (x[i] - x[j])
+        current[i] += flow
+        current[j] -= flow
     want = [Fraction(0)] * net.n_nodes
     want[a], want[b] = Fraction(1), Fraction(-1)
     assert current == want
@@ -168,14 +179,6 @@ def test_foster_theorem_on_exact_table():
         table = exact_resistance_matrix(net)
         foster = sum(table[i][j] / Fraction(r) for i, j, r in net.edges)
         assert foster == net.n_nodes - 1
-
-
-def test_rational_laplacian_rows_sum_to_zero_exactly():
-    rng = random.Random(211)
-    net = random_connected_network(rng, max_nodes=9, rational=True)
-    lap = rational_laplacian(net)
-    for row in lap:
-        assert sum(row) == 0
 
 
 def test_float_inputs_rationalized_exactly():
@@ -257,15 +260,6 @@ def test_oracle_answers_pinned():
     assert digest == "2fb180bf87a90d99ce40e55b3d488d9dce0189573cfaa44fc344c1d5b9e1037c"
 
 
-def reference_conductances(net):
-    """The merged conductances as a plain Fraction sum, edge by edge."""
-    merged = {}
-    for i, j, r in net.edges:
-        key = (i, j) if i < j else (j, i)
-        merged[key] = merged.get(key, Fraction(0)) + 1 / Fraction(r)
-    return merged
-
-
 def mixed_corpus():
     """Small networks with int, p/q and float resistances, some mixed.
 
@@ -344,6 +338,8 @@ def test_answers_do_not_depend_on_node_labels():
 
 def test_conductance_merge_matches_fraction_sum():
     for net in mixed_corpus():
-        merged = rational_conductances(net)
-        assert merged == reference_conductances(net)
-        assert all(type(c) is Fraction for c in merged.values())
+        # (numerator, denominator) in lowest terms, as Fraction keeps them
+        assert exact._merged_conductances(net) == {
+            key: (c.numerator, c.denominator)
+            for key, c in reference_conductances(net).items()
+        }

@@ -49,7 +49,6 @@ def test_query_validation():
         IdentityQuery(n_terms=4, offset=0, damping=-0.5)
     with pytest.raises(OutOfRangeError):
         IdentityQuery(n_terms=4, offset=0, damping=1.0, variant=3)
-    assert q1(4, 7, 0.5).decay_factor == pytest.approx(math.exp(-0.5))
 
 
 def test_variant_guards():

@@ -6,16 +6,37 @@ Rayleigh's monotonicity law holds; and the all-pairs table follows the
 rank-one (Sherman-Morrison) update under a change of one edge's
 conductance.  The examples are derandomized and no database is kept, so
 repeated runs draw the same ones.
+
+The float routes, the spectral table and the closed forms of every wrap,
+are checked against Foster's theorem and the Kirchhoff index, to a
+relative 1e-12.
 """
 
+import math
 import os
+import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from resistnet import build_network, exact_resistance_matrix, solve_exact
+from helpers import random_connected_network
+from resistnet import (
+    BoundaryCondition,
+    LatticeSpec,
+    assemble_laplacian,
+    build_network,
+    decompose,
+    exact_resistance_matrix,
+    make_lattice,
+    mode_spectrum,
+    resistance,
+    resistance_matrix,
+    solve_exact,
+)
 
 # A home that cannot be created keeps Hypothesis from writing .hypothesis/.
 set_hypothesis_home_dir(os.devnull)
@@ -146,3 +167,51 @@ def test_rank_one_update(net, data):
                 w = (table[a][v] + table[b][u] - table[a][u] - table[b][v]) / 2
                 assert new[a][b] == table[a][b] - dc * w * w / denom
         table = new
+
+
+# ---------------------------------------------------------------------------
+# float routes
+
+FLOAT_RTOL = 1e-12
+
+
+def foster_sum(edges, table):
+    """Sum over edges of R_e / r_e; Foster's theorem makes it n - 1."""
+    return math.fsum(table(i, j) / float(r) for i, j, r in edges)
+
+
+def test_foster_and_kirchhoff_index_on_the_spectral_table():
+    # Kf = sum over a < b of R_ab = n * sum over nonzero modes of 1 / lambda
+    rng = random.Random(139)
+    for _ in range(200):
+        net = random_connected_network(rng, max_nodes=12)
+        n = net.n_nodes
+        spec = decompose(assemble_laplacian(net))
+        table = resistance_matrix(spec)
+        foster = foster_sum(net.edges, lambda i, j: table[i, j])
+        assert math.isclose(foster, n - 1, rel_tol=FLOAT_RTOL)
+        kirchhoff = math.fsum(table[np.triu_indices(n, 1)])
+        modes = n * math.fsum(1 / lam for lam in spec.eigenvalues[len(spec.zero_modes):])
+        assert math.isclose(kirchhoff, modes, rel_tol=FLOAT_RTOL)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_foster_and_kirchhoff_index_on_the_closed_forms(bc):
+    # the edges from make_lattice, the eigenvalues from mode_spectrum; each
+    # 2D wrap runs with both parities of both axis lengths
+    shapes = {1: [(9,), (8,)], 2: [(5, 4), (4, 5)], 3: [(3, 3, 2), (2, 3, 4)]}[bc.ndim]
+    for dims in shapes:
+        spec = LatticeSpec(dims, (Fraction(2, 3), 0.7, 3)[: bc.ndim], bc)
+        n = spec.n_nodes
+        coords = [spec.node_coords(k) for k in range(n)]
+
+        def pair(i, j):
+            return resistance(spec, coords[i], coords[j])
+
+        foster = foster_sum(make_lattice(spec).edges, pair)
+        assert math.isclose(foster, n - 1, rel_tol=FLOAT_RTOL)
+        kirchhoff = math.fsum(pair(i, j) for i in range(n) for j in range(i + 1, n))
+        zero, *nonzero = mode_spectrum(spec).eigenvalues
+        assert zero == 0.0
+        modes = n * math.fsum(1 / lam for lam in nonzero)
+        assert math.isclose(kirchhoff, modes, rel_tol=FLOAT_RTOL)

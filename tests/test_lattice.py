@@ -15,6 +15,7 @@ from resistnet import (
     OutOfRangeError,
     ParseError,
     assemble_laplacian,
+    build_network,
     decompose,
     f_sum,
     g_sum,
@@ -136,7 +137,10 @@ def test_generators_keep_their_bits():
     """Edge lists and analytic modes of 256 specs, every wrap, pinned by digest."""
     specs = _pinning_specs()
     assert len(specs) == 256
-    edges = repr([make_lattice(s).edges for s in specs])
+    nets = [make_lattice(s) for s in specs]
+    # built without build_network, whose checks every edge list passes
+    assert all(build_network(s.n_nodes, net.edges) == net for s, net in zip(specs, nets))
+    edges = repr([net.edges for net in nets])
     modes = repr([mode_spectrum(s).modes for s in specs])
     assert hashlib.sha256(edges.encode()).hexdigest() == (
         "69e1ecae407b904f004c5c95c1045b477738cff16ad4c7f5e73e8003b7f2b84d"
