@@ -4,6 +4,10 @@ import hashlib
 import itertools
 import math
 import random
+import re
+import sys
+import threading
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +23,7 @@ from resistnet import (
     decompose,
     f_sum,
     g_sum,
+    lattice,
     make_lattice,
     mode_spectrum,
     r_1d_free,
@@ -346,7 +351,81 @@ PINNED_BITS = [
 @pytest.mark.parametrize("bc,dims,res,c1,c2,want", PINNED_BITS)
 def test_closed_form_bits_pinned(bc, dims, res, c1, c2, want):
     spec = LatticeSpec(dims=dims, resistances=res, bc=bc)
+    lattice._ring_lattice.cache_clear()
     assert repr(resistance(spec, c1, c2)) == repr(want)
+    # the cylinder, Moebius and Klein sums read a lattice's second and later
+    # queries through its table of denominators
+    resistance(spec, spec.node_coords(0), spec.node_coords(spec.n_nodes - 1))
+    assert repr(resistance(spec, c1, c2)) == repr(want)
+
+
+RING_LATTICES = [
+    spec2d(BC.CYLINDER, 9, 7, 1.1, Fraction(2, 3)),
+    spec2d(BC.MOEBIUS, 8, 11, 0.35, 2),
+    spec2d(BC.KLEIN, 10, 9, 3, 0.8),
+]
+
+
+@pytest.mark.parametrize("spec", RING_LATTICES, ids=lambda spec: spec.bc.value)
+def test_ring_denominators_wait_for_a_second_query(monkeypatch, spec):
+    built = []
+
+    def counting_array(typecode, values):
+        built.append(typecode)
+        return array(typecode, values)
+
+    monkeypatch.setattr(lattice, "array", counting_array)
+    lattice._ring_lattice.cache_clear()
+    pair = ((0, 0), (spec.dims[0] - 1, spec.dims[1] - 1))
+    want = resistance(spec, *pair)
+    assert built == []  # a single query on a fresh lattice builds nothing
+    for _ in range(3):
+        assert repr(resistance(spec, *pair)) == repr(want)
+    assert len(built) == spec.dims[1] - 1  # one row per width mode, once
+    # two other lattices evict it: its next query is a first query again
+    for other in RING_LATTICES:
+        if other != spec:
+            resistance(other, (0, 0), (1, 1))
+            resistance(other, (0, 0), (1, 1))
+        assert lattice._ring_lattice.cache_info().currsize <= 2
+    built.clear()
+    assert repr(resistance(spec, *pair)) == repr(want)
+    assert built == []
+    assert repr(resistance(spec, *pair)) == repr(want)
+    assert len(built) == spec.dims[1] - 1
+    assert lattice._ring_lattice.cache_info().maxsize == 2
+
+
+def test_ring_denominators_shared_by_threads():
+    specs = RING_LATTICES[1:]
+    rng = random.Random(47)
+    pairs = [
+        (spec, *(tuple(rng.randrange(d) for d in spec.dims) for _ in range(2)))
+        for _ in range(12)
+        for spec in specs
+    ]
+    lattice._ring_lattice.cache_clear()
+    serial = [repr(resistance(*query)) for query in pairs]
+    results = {}
+
+    def worker(k):
+        results[k] = [repr(resistance(*query)) for query in pairs[k:] + pairs[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            lattice._ring_lattice.cache_clear()
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            for k in range(4):
+                assert results.pop(k) == serial[k:] + serial[:k]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +573,17 @@ def test_coordinates_out_of_range():
         r_2d_free(5, 4, 1, 1, (0, 0), (5, 3))
     with pytest.raises(NodeIndexError):
         r_3d_free(2, 2, 2, 1, 1, 1, (0, 0, 0), (0, 0, 2))
+    # one coordinate per axis, on either endpoint
+    wrong_counts = [
+        (LatticeSpec((4,), (1,), BC.FREE_1D), (1, 3), (2,)),
+        (LatticeSpec((4,), (1,), BC.PERIODIC_1D), (1,), (2, 9)),
+        (spec2d(BC.KLEIN, 5, 4), (1,), (2, 3)),
+        (spec2d(BC.FREE_2D, 5, 4), (1, 2), (2, 3, 0)),
+        (LatticeSpec((2, 2, 2), (1, 1, 1), BC.FREE_3D), (0, 0), (1, 1, 1)),
+        (LatticeSpec((2, 2, 2), (1, 1, 1), BC.FREE_3D), (0, 0, 0), (1, 1, 1, 1)),
+    ]
+    for spec, c1, c2 in wrong_counts:
+        bad = c1 if len(c1) != len(spec.dims) else c2
+        message = f"expected {len(spec.dims)} coordinates, got {bad!r}"
+        with pytest.raises(NodeIndexError, match=re.escape(message)):
+            resistance(spec, c1, c2)
